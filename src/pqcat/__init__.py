@@ -36,6 +36,7 @@ from .exceptions import (
     enumerate_q1,
     enumerate_q2,
     enumerate_qgeq3,
+    exception_values,
     residue_of_exception,
 )
 from .modular import (
@@ -88,6 +89,7 @@ __all__ = [
     "enumerate_q1",
     "enumerate_q2",
     "enumerate_qgeq3",
+    "exception_values",
     "factorial_p_mod",
     "find_tau0",
     "granville_binom_mod_pq",

@@ -28,7 +28,7 @@ from .analytic import (
 from .catalan import catalan_exact, catalan_residue_mod_pq, catalan_valuation, divides
 from .config import SizeGuardError
 from .digits import PrimePower, binom_valuation, sigma_p, to_base_p
-from .exceptions import count_exceptions_q2, enumerate_exceptions
+from .exceptions import count_exceptions_q2, enumerate_exceptions, exception_values
 from .modular import granville_binom_mod_pq
 from .residues import residue_count_sequence, residue_set_p2
 from .squarefree import scan_candidates, verify_divisibility_filter
@@ -105,12 +105,31 @@ def parse_record(line: str) -> dict:
     return json.loads(line)
 
 
+_MAX_BIG_BITS = 1 << 20
+
+
 def _big(text: str) -> int:
     # accepts plain integers and 2**e / 3**e shorthands for huge inputs
-    if "**" in text:
-        base, _, exp = text.partition("**")
-        return int(base) ** int(exp)
-    return int(text)
+    if "**" not in text:
+        return int(text)
+    base, _, exp = text.partition("**")
+    b, e = int(base), int(exp)
+    if e < 0:
+        raise argparse.ArgumentTypeError(f"{text} is not an integer (negative exponent)")
+    # b**e has more than e * (bits(b) - 1) bits: refuse before computing
+    if e * (abs(b).bit_length() - 1) >= _MAX_BIG_BITS:
+        raise argparse.ArgumentTypeError(f"{text} exceeds {_MAX_BIG_BITS} bits")
+    value = b**e
+    if value.bit_length() > _MAX_BIG_BITS:
+        raise argparse.ArgumentTypeError(f"{text} exceeds {_MAX_BIG_BITS} bits")
+    return value
+
+
+def _jobs(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 job, got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -167,7 +186,7 @@ def _build_parser() -> _Parser:
                       help="test only the structural candidates (default)")
     mode.add_argument("--exhaustive", action="store_true",
                       help="test every n up to the bound")
-    p_scan.add_argument("--jobs", type=int, default=1)
+    p_scan.add_argument("--jobs", type=_jobs, default=1)
     p_scan.add_argument("--checkpoint", metavar="PATH")
 
     p_thr = add("threshold", help="the non-squarefree inequality")
@@ -256,14 +275,14 @@ def _cmd_exceptions(args) -> list[OutputRecord]:
         count = count_exceptions_q2(args.p, args.count_from)
         inputs["count_from"] = args.count_from
         return [OutputRecord("exceptions", inputs, {"count": count})]
-    found = enumerate_exceptions(PrimePower(args.p, args.q), args.bound)
+    pp = PrimePower(args.p, args.q)
     if args.forms:
         result = [
             {"value": e.value, "forms": [_form_payload(f) for f in e.forms]}
-            for e in found
+            for e in enumerate_exceptions(pp, args.bound)
         ]
     else:
-        result = [e.value for e in found]
+        result = exception_values(pp, args.bound)
     prov = "n <= bound with p^q not dividing C(p^q n, n)/((p^q-1)n+1), by structure"
     return [OutputRecord("exceptions", inputs, result, provenance=prov)]
 

@@ -13,8 +13,9 @@ walks, per admissible l:
   * then exponent lifts alpha = q t + j per class, each alpha repeated at
     most p - 1 times so the digits of X stay below p.
 
-Digit expansions are unique, so each exceptional n is produced exactly once
-and carries a canonical structural description:
+Digit expansions are unique, so each exceptional n is produced exactly once,
+as a plain integer (exception_values).  Its canonical structural description
+is read back off the base-p digits of X only when asked for:
 
   * l = 1 is the pure-power family n = (p**(t q) - 1)/(p**q - 1);
   * for q = 2 the only other family has all exponents odd, with
@@ -24,13 +25,14 @@ and carries a canonical structural description:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterator, Union
 
-from .digits import PrimePower, _require_prime
+from .digits import PrimePower, _require_prime, to_base_p
 from .residues import multinomial
 
 
@@ -82,17 +84,6 @@ class ExceptionForm:
         return self.forms[0].kind
 
 
-def _pure_powers(pp: PrimePower, bound: int) -> Iterator[tuple[int, PurePower]]:
-    mod = pp.modulus - 1
-    t = 1
-    while True:
-        n = (pp.modulus**t - 1) // mod
-        if n > bound:
-            return
-        yield n, PurePower(t)
-        t += 1
-
-
 def _residue_class_multisets(p: int, q: int, l: int) -> Iterator[tuple[int, ...]]:
     mod = p**q - 1
     for combo in combinations_with_replacement(range(q), l):
@@ -100,84 +91,86 @@ def _residue_class_multisets(p: int, q: int, l: int) -> Iterator[tuple[int, ...]
             yield combo
 
 
-def _lift_class(p: int, q: int, j: int, slots: int, budget: int, t_min: int = 0) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Sums of `slots` powers p**(q t + j), t >= t_min, each exponent used at
-    most p - 1 times, with total <= budget.  Yields (sum, sorted exponents)."""
-    if slots == 0:
-        yield 0, ()
-        return
-    t = t_min
-    while True:
-        base = p ** (q * t + j)
-        if base > budget:
+def _lift_class(p: int, q: int, j: int, slots: int, budget: int) -> list[int]:
+    """Sums of `slots` powers p**(q t + j), t >= 0, each power used at most
+    p - 1 times, with total <= budget."""
+    step = p**q
+    sums: list[int] = []
+
+    def rec(base: int, slots: int, acc: int) -> None:
+        if slots == 0:
+            sums.append(acc)
             return
-        for k in range(1, min(slots, p - 1) + 1):
-            used = base * k
-            if used > budget:
-                break
-            for rest_sum, rest in _lift_class(p, q, j, slots - k, budget - used, t + 1):
-                yield used + rest_sum, (q * t + j,) * k + rest
-        t += 1
+        # every remaining power is at least base
+        while acc + base * slots <= budget:
+            for k in range(1, min(slots, p - 1) + 1):
+                rec(base * step, slots - k, acc + base * k)
+            base *= step
+
+    rec(p**j, slots, 0)
+    return sums
 
 
-def _sum_family(pp: PrimePower, bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """All exceptional n <= bound with digit sum of X above 1, as
-    (n, sorted exponent multiset of X) pairs."""
+def exception_values(pp: PrimePower, bound: int) -> list[int]:
+    """All n <= bound with p**q not dividing F(p**q, n), ascending.
+
+    Integers only: no structural record is built.  Raises ValueError for
+    p = 2 with q >= 3, where the structural enumeration is not established.
+    """
     p, q = pp.p, pp.q
+    if p == 2 and q >= 3:
+        raise ValueError(f"structural enumeration needs odd p for q >= 3, got {pp}")
+    if bound < 1:
+        return []
     mod = pp.modulus - 1
-    budget = mod * bound + 1
+    budget = mod * bound + 1  # X = mod * n + 1 <= budget
+    xs = []
+    x = pp.modulus
+    while x <= budget:
+        xs.append(x)
+        x *= pp.modulus
     for m in range(1, q):
-        l = m * (p - 1) + 1
-        for classes in _residue_class_multisets(p, q, l):
-            grouped = sorted(Counter(classes).items())
-
-            def rec(idx: int, acc_sum: int, acc: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
-                if idx == len(grouped):
-                    yield acc_sum, tuple(sorted(acc))
-                    return
-                j, slots = grouped[idx]
-                for s, alphas in _lift_class(p, q, j, slots, budget - acc_sum):
-                    yield from rec(idx + 1, acc_sum + s, acc + alphas)
-
-            for x, alphas in rec(0, 0, ()):
-                n = (x - 1) // mod
-                if 1 <= n <= bound:
-                    yield n, alphas
+        for classes in _residue_class_multisets(p, q, m * (p - 1) + 1):
+            partial = [0]
+            for j, slots in sorted(Counter(classes).items()):
+                sums = sorted(_lift_class(p, q, j, slots, budget))
+                partial = [a + b for a in partial for b in sums[: bisect_right(sums, budget - a)]]
+            xs.extend(partial)
+    # digit expansions are unique, and pure powers have digit sum 1 while
+    # every sum has digit sum at least p: no X repeats
+    xs.sort()
+    return [(x - 1) // mod for x in xs]
 
 
-def _merge(pp: PrimePower, tagged: Iterator[tuple[int, Form]]) -> list[ExceptionForm]:
-    by_value: dict[int, list[Form]] = {}
-    for n, form in tagged:
-        by_value.setdefault(n, []).append(form)
-    return [ExceptionForm(n, pp, tuple(by_value[n])) for n in sorted(by_value)]
+def _form_of(pp: PrimePower, n: int) -> Form:
+    """The structural description read off the base-p digits of X."""
+    digits = to_base_p((pp.modulus - 1) * n + 1, pp.p).digits
+    if len(digits) - digits.count(0) == 1:
+        return PurePower((len(digits) - 1) // pp.q)
+    if pp.q == 2:
+        return OddPowerSum(tuple((d, (a - 1) // 2) for a, d in enumerate(digits) if d))
+    return GeneralSum(tuple(a for a, d in enumerate(digits) for _ in range(d)))
+
+
+def enumerate_exceptions(pp: PrimePower, bound: int) -> list[ExceptionForm]:
+    """exception_values with each n's structural description, ascending.
+
+    Raises ValueError for p = 2 with q >= 3, where no structural family is
+    implemented.
+    """
+    return [ExceptionForm(n, pp, (_form_of(pp, n),)) for n in exception_values(pp, bound)]
 
 
 def enumerate_q1(p: int, bound: int) -> list[ExceptionForm]:
     """All n <= bound with p not dividing F(p, n): the repunit-like family
     n = 1 + p + ... + p**(t-1), ascending."""
-    _require_prime(p)
-    pp = PrimePower(p, 1)
-    if bound < 1:
-        return []
-    return _merge(pp, iter(_pure_powers(pp, bound)))
+    return enumerate_exceptions(PrimePower(p, 1), bound)
 
 
 def enumerate_q2(p: int, bound: int) -> list[ExceptionForm]:
     """All n <= bound with p**2 not dividing F(p**2, n), ascending, each
     tagged as a pure power or a sum of odd powers with its composition."""
-    _require_prime(p)
-    pp = PrimePower(p, 2)
-    if bound < 1:
-        return []
-
-    def tagged() -> Iterator[tuple[int, Form]]:
-        yield from _pure_powers(pp, bound)
-        for n, alphas in _sum_family(pp, bound):
-            counts = Counter(alphas)
-            terms = tuple((counts[a], (a - 1) // 2) for a in sorted(counts))
-            yield n, OddPowerSum(terms)
-
-    return _merge(pp, tagged())
+    return enumerate_exceptions(PrimePower(p, 2), bound)
 
 
 def enumerate_qgeq3(pp: PrimePower, bound: int) -> list[ExceptionForm]:
@@ -188,28 +181,7 @@ def enumerate_qgeq3(pp: PrimePower, bound: int) -> list[ExceptionForm]:
     """
     if pp.p == 2 or pp.q < 3:
         raise ValueError(f"structural enumeration needs odd p and q >= 3, got {pp}")
-    if bound < 1:
-        return []
-
-    def tagged() -> Iterator[tuple[int, Form]]:
-        yield from _pure_powers(pp, bound)
-        for n, alphas in _sum_family(pp, bound):
-            yield n, GeneralSum(alphas)
-
-    return _merge(pp, tagged())
-
-
-def enumerate_exceptions(pp: PrimePower, bound: int) -> list[ExceptionForm]:
-    """Dispatch to the structural enumerator for this (p, q).
-
-    Raises ValueError for p = 2 with q >= 3, where no structural family is
-    implemented.
-    """
-    if pp.q == 1:
-        return enumerate_q1(pp.p, bound)
-    if pp.q == 2:
-        return enumerate_q2(pp.p, bound)
-    return enumerate_qgeq3(pp, bound)
+    return enumerate_exceptions(pp, bound)
 
 
 def residue_of_exception(form: ExceptionForm) -> int:

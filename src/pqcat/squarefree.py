@@ -27,7 +27,7 @@ import numpy as np
 from . import config
 from .config import SizeGuardError
 from .digits import PrimePower
-from .exceptions import enumerate_exceptions
+from .exceptions import exception_values
 
 _primes: list[int] = []
 _primes_limit = 1
@@ -198,7 +198,7 @@ def scan_candidates(
     if exhaustive:
         candidates = range(1, bound + 1)
     else:
-        candidates = [e.value for e in enumerate_exceptions(pp, bound)]
+        candidates = exception_values(pp, bound)
 
     resume_from = 0
     hits: list[int] = []
@@ -251,7 +251,7 @@ def verify_divisibility_filter(pp: PrimePower, bound: int) -> bool:
         raise ValueError(f"the filter argument needs q >= 2, got {pp}")
     if bound < 1:
         return True
-    exceptional = {e.value for e in enumerate_exceptions(pp, bound)}
+    exceptional = set(exception_values(pp, bound))
     for n in range(1, bound + 1):
         if n in exceptional:
             continue

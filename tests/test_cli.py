@@ -84,6 +84,64 @@ class TestDispatch:
         assert all(int(v) > 2**53 for v in big)
 
 
+# `exceptions --forms` records as emitted before forms were read off digits:
+# (value, t) for a pure power, (value, [(c, i), ...]) for an odd-power sum,
+# (value, [exponents]) for a general sum
+FORMS_3_2_100 = [
+    (1, 1), (4, [(2, 0), (1, 1)]), (7, [(1, 0), (2, 1)]), (10, 2), (31, [(2, 0), (1, 2)]),
+    (34, [(1, 0), (1, 1), (1, 2)]), (37, [(2, 1), (1, 2)]), (61, [(1, 0), (2, 2)]),
+    (64, [(1, 1), (2, 2)]), (91, 3),
+]
+FORMS_3_3_1000 = [
+    (1, 1), (4, [1, 1, 2, 2, 4]), (7, [1, 2, 2, 4, 4]), (10, [2, 2, 5]), (13, [1, 1, 2, 4, 5]),
+    (16, [1, 2, 4, 4, 5]), (19, [2, 5, 5]), (22, [1, 1, 4, 5, 5]), (25, [1, 4, 4, 5, 5]),
+    (28, 2), (85, [1, 1, 2, 2, 7]), (88, [1, 2, 2, 4, 7]), (91, [2, 2, 4, 4, 7]),
+    (94, [1, 1, 2, 5, 7]), (97, [1, 2, 4, 5, 7]), (100, [2, 4, 4, 5, 7]),
+    (103, [1, 1, 5, 5, 7]), (106, [1, 4, 5, 5, 7]), (109, [4, 4, 5, 5, 7]),
+    (169, [1, 2, 2, 7, 7]), (172, [2, 2, 4, 7, 7]), (178, [1, 2, 5, 7, 7]),
+    (181, [2, 4, 5, 7, 7]), (187, [1, 5, 5, 7, 7]), (190, [4, 5, 5, 7, 7]), (253, [2, 2, 8]),
+    (256, [1, 1, 2, 4, 8]), (259, [1, 2, 4, 4, 8]), (262, [2, 5, 8]), (265, [1, 1, 4, 5, 8]),
+    (268, [1, 4, 4, 5, 8]), (271, [5, 5, 8]), (337, [1, 1, 2, 7, 8]), (340, [1, 2, 4, 7, 8]),
+    (343, [2, 4, 4, 7, 8]), (346, [1, 1, 5, 7, 8]), (349, [1, 4, 5, 7, 8]),
+    (352, [4, 4, 5, 7, 8]), (421, [1, 2, 7, 7, 8]), (424, [2, 4, 7, 7, 8]),
+    (430, [1, 5, 7, 7, 8]), (433, [4, 5, 7, 7, 8]), (505, [2, 8, 8]), (508, [1, 1, 4, 8, 8]),
+    (511, [1, 4, 4, 8, 8]), (514, [5, 8, 8]), (589, [1, 1, 7, 8, 8]), (592, [1, 4, 7, 8, 8]),
+    (595, [4, 4, 7, 8, 8]), (673, [1, 7, 7, 8, 8]), (676, [4, 7, 7, 8, 8]), (757, 3),
+]
+
+
+def forms_line(p, q, bound, records):
+    result = []
+    for value, shape in records:
+        if isinstance(shape, int):
+            form = {"kind": "pure_power", "t": shape}
+        elif isinstance(shape[0], tuple):
+            form = {"kind": "odd_power_sum", "terms": [list(t) for t in shape]}
+        else:
+            form = {"kind": "general_sum", "exponents": shape}
+        result.append({"forms": [form], "value": value})
+    payload = {
+        "command": "exceptions",
+        "inputs": {"bound": bound, "p": p, "q": q},
+        "provenance": "n <= bound with p^q not dividing C(p^q n, n)/((p^q-1)n+1), by structure",
+        "result": result,
+    }
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+class TestExceptionForms:
+    @pytest.mark.parametrize(
+        "p,q,bound,records", [(3, 2, 100, FORMS_3_2_100), (3, 3, 1000, FORMS_3_3_1000)]
+    )
+    def test_forms_record_pinned(self, capsys, p, q, bound, records):
+        argv = ["exceptions", "--p", str(p), "--q", str(q), "--bound", str(bound)]
+        assert run(argv + ["--forms"]) == EXIT_OK
+        assert capsys.readouterr().out == forms_line(p, q, bound, records)
+        code, recs = run_lines(capsys, argv)
+        assert code == EXIT_OK
+        assert recs[0]["result"] == [value for value, _ in records]
+
+
 class TestExitCodes:
     def test_domain_error(self, capsys):
         assert run(["digits", "--n", "10", "--p", "6"]) == EXIT_DOMAIN
@@ -97,6 +155,31 @@ class TestExitCodes:
         assert run(["digits", "--n", "10"]) == EXIT_USAGE
         assert run(["nonsense"]) == EXIT_USAGE
         assert run(["digits", "--n", "10", "--p", "2", "--bogus"]) == EXIT_USAGE
+
+    def test_power_shorthand_must_be_integer(self, capsys):
+        assert run(["scan", "--p", "2", "--q", "2", "--bound", "2**-1"]) == EXIT_USAGE
+        assert run(["digits", "--n", "2**-1", "--p", "2"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].endswith("2**-1 is not an integer (negative exponent)")
+
+    def test_power_shorthand_size_cap(self, capsys):
+        # refused before the power is computed, so this returns at once
+        assert run(["digits", "--n", "7**100000000", "--p", "7"]) == EXIT_USAGE
+        assert run(["digits", "--n", "2**1048576", "--p", "2"]) == EXIT_USAGE
+        assert "exceeds 1048576 bits" in capsys.readouterr().err
+
+    def test_power_shorthand_paper_witnesses_parse(self, capsys):
+        for n, p in (("2**1520", "2"), ("3**956", "3")):
+            code, recs = run_lines(capsys, ["valuation", "--p", p, "--q", "1", "--n", n])
+            assert code == EXIT_OK
+            assert recs[0]["inputs"]["n"] == str(int(p) ** int(n.partition("**")[2]))
+
+    def test_scan_jobs_at_least_one(self, capsys):
+        assert run(["scan", "--p", "2", "--q", "2", "--bound", "100", "--jobs", "0"]) == EXIT_USAGE
+        assert "need at least 1 job, got 0" in capsys.readouterr().err
+        code, recs = run_lines(capsys, ["scan", "--p", "2", "--q", "2", "--bound", "100", "--jobs", "1"])
+        assert code == EXIT_OK and recs[0]["result"]["squarefree_hits"] == [1, 3, 45]
 
 
 class TestEmit:

@@ -13,6 +13,7 @@ from pqcat import (
     enumerate_q1,
     enumerate_q2,
     enumerate_qgeq3,
+    exception_values,
     residue_of_exception,
 )
 
@@ -120,6 +121,47 @@ class TestSetEquality:
             for bound in (1, 10, 100, 1234, 4999):
                 small = values(enumerate_exceptions(pp, bound))
                 assert small == [n for n in big if n <= bound]
+
+
+def digit_sum_sweep(p: int, q: int, bound: int) -> list[int]:
+    # n is exceptional iff sigma_p((p**q - 1) n + 1) <= (p - 1)(q - 1) + 1;
+    # digit sums by plain divmod, sharing no code with pqcat
+    limit = (p - 1) * (q - 1) + 1
+    found = []
+    for n in range(1, bound + 1):
+        x, total = (p**q - 1) * n + 1, 0
+        while x:
+            x, d = divmod(x, p)
+            total += d
+        if total <= limit:
+            found.append(n)
+    return found
+
+
+class TestExceptionValues:
+    @pytest.mark.parametrize(
+        "p,q", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (3, 3), (5, 3), (3, 4)]
+    )
+    def test_digit_sum_sweep_2e4(self, p, q):
+        got = exception_values(PrimePower(p, q), 2 * 10**4)
+        assert got == digit_sum_sweep(p, q, 2 * 10**4)
+        assert all(a < b for a, b in zip(got, got[1:]))
+
+    @pytest.mark.parametrize("p,q,bound", [(2, 2, 2**200), (3, 3, 10**16)])
+    def test_equals_record_values_at_large_bounds(self, p, q, bound):
+        pp = PrimePower(p, q)
+        got = exception_values(pp, bound)
+        assert got == values(enumerate_exceptions(pp, bound))
+        assert all(a < b for a, b in zip(got, got[1:]))
+
+    @pytest.mark.parametrize("bound", [0, -1, -(10**30)])
+    def test_nonpositive_bound_is_empty(self, bound):
+        for p, q in ((2, 1), (2, 2), (3, 3)):
+            assert exception_values(PrimePower(p, q), bound) == []
+
+    def test_p2_q3_rejected(self):
+        with pytest.raises(ValueError):
+            exception_values(PrimePower(2, 3), 100)
 
 
 class TestRecursiveBitConstruction:
