@@ -9,6 +9,7 @@ consumers is rendered as a decimal string.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -69,8 +70,33 @@ def _jsonable(value):
     return str(value)
 
 
+@contextlib.contextmanager
+def _unlimited_int_str():
+    """Lift Python's 4300-digit cap on int -> str while records are written.
+
+    Inputs are bounded (2**20 bits) before any work starts, so the cap only
+    ever refuses an answer that has already been computed.  Pythons without
+    the cap (before 3.10.7) have no setter.
+    """
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    saved = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def emit(records: list[OutputRecord], format: str = "jsonl") -> str:
     """Serialize records deterministically; one JSON line or CSV row each."""
+    with _unlimited_int_str():
+        return _emit(records, format)
+
+
+def _emit(records: list[OutputRecord], format: str) -> str:
     if format in ("jsonl", "json-lines"):
         lines = []
         for r in records:

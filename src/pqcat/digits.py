@@ -3,12 +3,21 @@
 Everything here is exact integer arithmetic.  The numbers being expanded
 may be arbitrarily large (structural exception witnesses reach sizes like
 2**1520); the returned digit sums, carry counts and valuations always fit
-comfortably in machine words.
+comfortably in machine words.  Every expansion and digit sum goes through
+one vectorised primitive, `_digit_array`, and carries are counted from
+digit sums, so none of them walks the digits in a Python loop.  (Legendre's
+floor sum keeps its own loop: it is the independent formula the digit-sum
+form is checked against.)
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
+
+import numpy as np
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PROVEN_BELOW = 3317044064679887385961981
@@ -89,7 +98,7 @@ class DigitVector:
             raise ValueError(f"base must be >= 2, got {self.base}")
         if self.digits and self.digits[-1] == 0:
             raise ValueError("non-canonical digit vector: trailing zero limb")
-        if any(not 0 <= d < self.base for d in self.digits):
+        if self.digits and (min(self.digits) < 0 or max(self.digits) >= self.base):
             raise ValueError(f"digit out of range for base {self.base}")
 
     def value(self) -> int:
@@ -116,28 +125,73 @@ class DigitVector:
         return sep.join(str(d) for d in reversed(self.digits)) + f" (base {self.base})"
 
 
+@lru_cache(maxsize=None)
+def _chunk_powers(p: int) -> np.ndarray:
+    """[1, p, ..., p**(k-1)] for the largest k >= 1 with p**k < 2**62; a
+    prime above 2**62 (k = 1) gets an object array, so its digits stay
+    Python ints."""
+    powers = [1]
+    while powers[-1] * p * p < 1 << 62:
+        powers.append(powers[-1] * p)
+    powers = np.array(powers, dtype=np.int64 if p < 1 << 62 else object)
+    powers.flags.writeable = False  # cached: shared by every caller
+    return powers
+
+
+def _digit_array(values: Sequence[int], p: int, width: int | None = None) -> np.ndarray:
+    """Little-endian base-p digits of each x >= 0 in values, one row each,
+    as a 2-D int64 array (Python ints for primes above 2**62).
+
+    Rows are zero-padded to `width` digits (every x must fit) or, without
+    it, to the longest expansion, so zeros alone give zero columns.  For
+    p = 2 the bits come straight from the byte images; otherwise one
+    big-integer divmod per base-p**k limb (p**k < 2**62) is followed by one
+    vectorised split of all limbs into digits.
+    """
+    if p == 2:
+        nbits = max(x.bit_length() for x in values) if width is None else width
+        nbytes = (nbits + 7) // 8
+        raw = b"".join(x.to_bytes(nbytes, "little") for x in values)
+        image = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), nbytes)
+        return np.unpackbits(image, axis=1, count=nbits, bitorder="little").astype(np.int64)
+    powers = _chunk_powers(p)
+    k = powers.size
+    chunk = int(powers[-1]) * p
+    limb_rows = []
+    for x in values:
+        limbs = []
+        while x:
+            x, limb = divmod(x, chunk)
+            limbs.append(limb)
+        limb_rows.append(limbs)
+    if width is None:
+        # the top limb of the largest value has as many digits as powers <= it
+        top = max(limb_rows, key=lambda limbs: (len(limbs), limbs[-1:]))
+        width = (len(top) - 1) * k + bisect_right(powers.tolist(), top[-1]) if top else 0
+    count = -(-width // k)
+    limbs = np.array([row + [0] * (count - len(row)) for row in limb_rows], dtype=powers.dtype)
+    return (limbs[:, :, None] // powers % p).reshape(len(values), count * k)[:, :width]
+
+
+def _digit_sums(values: Sequence[int], p: int) -> list[int]:
+    """Base-p digit sums of each x >= 0 in values."""
+    if p == 2:
+        return [x.bit_count() for x in values]
+    return _digit_array(values, p).sum(axis=1).tolist()
+
+
 def to_base_p(n: int, p: int) -> DigitVector:
     """Expand n >= 0 in base p, least-significant digit first."""
     _require_prime(p)
     _require_nonneg(n)
-    digits = []
-    while n:
-        n, d = divmod(n, p)
-        digits.append(d)
-    return DigitVector(tuple(digits), p)
+    return DigitVector(tuple(_digit_array([n], p)[0].tolist()), p)
 
 
 def sigma_p(n: int, p: int) -> int:
     """Sum of the base-p digits of n."""
     _require_prime(p)
     _require_nonneg(n)
-    if p == 2:
-        return n.bit_count()
-    s = 0
-    while n:
-        n, d = divmod(n, p)
-        s += d
-    return s
+    return _digit_sums([n], p)[0]
 
 
 def legendre_valuation_factorial(n: int, p: int) -> int:
@@ -160,25 +214,24 @@ def kummer_carries(n: int, r: int, p: int, from_digit: int = 0) -> int:
 
     With from_digit = 0 this equals v_p(C(n + r, n)); larger from_digit
     counts only the carries on or beyond that digit, the quantity the
-    prime-power congruence needs for its sign.
+    prime-power congruence needs for its sign.  Kummer's digit-sum identity
+    gives the total, (s(n) + s(r) - s(n + r)) / (p - 1); the carries below
+    from_digit are the same expression for n and r reduced mod p**from_digit.
     """
     _require_prime(p)
     _require_nonneg(n)
     _require_nonneg(r, "r")
     _require_nonneg(from_digit, "from_digit")
-    carry = 0
-    count = 0
-    i = 0
-    while n or r or carry:
-        if n % p + r % p + carry >= p:
-            carry = 1
-            if i >= from_digit:
-                count += 1
-        else:
-            carry = 0
-        n //= p
-        r //= p
-        i += 1
+
+    def carries(a: int, b: int) -> int:
+        sa, sb, ssum = _digit_sums([a, b, a + b], p)
+        return (sa + sb - ssum) // (p - 1)
+
+    count = carries(n, r)
+    if from_digit and count:
+        # beyond the top digit of n + r there is nothing left to reduce
+        low = p ** min(from_digit, (n + r).bit_length())
+        count -= carries(n % low, r % low)
     return count
 
 

@@ -2,10 +2,21 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from pqcat.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, OutputRecord, emit, parse_record, run
+from pqcat.cli import (
+    EXIT_DOMAIN,
+    EXIT_OK,
+    EXIT_RESOURCE,
+    EXIT_USAGE,
+    OutputRecord,
+    _unlimited_int_str,
+    emit,
+    parse_record,
+    run,
+)
 
 
 def run_lines(capsys, argv):
@@ -174,6 +185,39 @@ class TestExitCodes:
             code, recs = run_lines(capsys, ["valuation", "--p", p, "--q", "1", "--n", n])
             assert code == EXIT_OK
             assert recs[0]["inputs"]["n"] == str(int(p) ** int(n.partition("**")[2]))
+
+    @pytest.mark.parametrize("argv", [
+        ["granville", "--m", "2**50", "--n", "12345", "--p", "2", "--q", "40"],
+        ["catalan", "--p", "2", "--q", "40", "--n", "12345"],
+    ])
+    def test_huge_modulus_refused_not_hung(self, argv):
+        # no factorial table above 2**22: a long direct product is refused
+        started = time.monotonic()
+        proc = subprocess.run([sys.executable, "-m", "pqcat", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_RESOURCE
+        assert time.monotonic() - started < 10
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("pqcat: resource guard: ")
+
+    def test_huge_modulus_small_m_answered(self, capsys):
+        code, recs = run_lines(capsys, ["granville", "--m", "100", "--n", "7", "--p", "2", "--q", "40"])
+        assert code == EXIT_OK
+        # C(100, 7) = 16007560800 = 2**5 * 500236275
+        assert recs[0]["result"] == {"e0": 5, "unit_residue": 500236275}
+
+    @pytest.mark.parametrize("argv", [
+        ["digits", "--n", "2**20000", "--p", "2"],
+        ["valuation", "--p", "2", "--n", "2**20000"],
+    ])
+    def test_output_above_4300_digits(self, capsys, argv):
+        code, recs = run_lines(capsys, argv)
+        assert code == EXIT_OK
+        emitted = recs[0]["inputs"]["n"]
+        assert len(emitted) > 4300
+        with _unlimited_int_str():
+            assert int(emitted) == 2**20000
 
     def test_scan_jobs_at_least_one(self, capsys):
         assert run(["scan", "--p", "2", "--q", "2", "--bound", "100", "--jobs", "0"]) == EXIT_USAGE

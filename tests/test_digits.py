@@ -131,6 +131,26 @@ class TestKummer:
         assert kummer_carries(1, 1, 2, from_digit=1) == 0
         assert kummer_carries(1, 1, 2, from_digit=0) == 1
 
+    def test_from_digit_matches_carry_loop(self):
+        def carries_from(n, r, p, k):
+            carry = count = i = 0
+            while n or r or carry:
+                carry = 1 if n % p + r % p + carry >= p else 0
+                count += carry and i >= k
+                n, r, i = n // p, r // p, i + 1
+            return count
+
+        rng = random.Random(271828)
+        for p in (2, 3, 5, 7, 11):
+            for _ in range(400):
+                n = rng.getrandbits(rng.randrange(0, 200))
+                r = rng.getrandbits(rng.randrange(0, 200))
+                k = rng.randrange(0, 140)
+                assert kummer_carries(n, r, p, from_digit=k) == carries_from(n, r, p, k), (n, r, p, k)
+        huge = 2**1520 + 3**700
+        for k in (0, 1, 5, 900, 10**6):
+            assert kummer_carries(huge, huge // 3, 3, from_digit=k) == carries_from(huge, huge // 3, 3, k)
+
     def test_from_digit_monotone(self):
         for n, r in ((37, 58), (255, 1), (80, 81)):
             prev = kummer_carries(n, r, 2)

@@ -1,14 +1,21 @@
+import random
 from math import comb
 
 import pytest
 
 from pqcat import (
     PrimePower,
+    SizeGuardError,
+    catalan_residue_mod_pq,
     factorial_p_mod,
     granville_binom_mod_pq,
     inverse_mod_pq,
+    kummer_carries,
     lucas_binom_mod_p,
+    sigma_p,
+    to_base_p,
 )
+from pqcat.modular import _unit_factorial_table
 
 
 def exact_split(c: int, p: int, pq: int) -> tuple[int, int]:
@@ -137,6 +144,156 @@ class TestGranville:
         g = granville_binom_mod_pq(m, n, PrimePower(2, 2))
         assert g.unit_residue % 2 == 1
         assert g.e0 >= 0
+
+
+def seeded_pairs(p: int, q: int) -> list[tuple[int, int]]:
+    """20 reproducible (m, n) pairs with 1200-1600-bit m, n <= m."""
+    rng = random.Random(1000 * p + q)
+    pairs = []
+    for _ in range(20):
+        bits = rng.randrange(1200, 1601)
+        m = rng.getrandbits(bits) | (1 << (bits - 1))
+        pairs.append((m, rng.randrange(m + 1)))
+    return pairs
+
+
+# (e0, unit) for seeded_pairs(p, q), recorded from the digit-loop
+# implementation that preceded the array kernel
+PINNED = {
+    (2, 2): [
+        (812, 3), (710, 1), (701, 3), (769, 3), (618, 1), (790, 3), (689, 1), (636, 1),
+        (702, 1), (732, 3), (727, 3), (657, 3), (822, 3), (649, 1), (630, 1), (670, 1),
+        (792, 3), (751, 1), (638, 1), (762, 3),
+    ],
+    (3, 2): [
+        (416, 8), (388, 8), (411, 8), (392, 7), (461, 2), (495, 7), (426, 7), (490, 1),
+        (425, 7), (481, 1), (385, 2), (459, 1), (472, 7), (395, 7), (397, 4), (449, 8),
+        (478, 1), (426, 5), (451, 7), (490, 8),
+    ],
+    (5, 3): [
+        (282, 2), (342, 21), (349, 12), (305, 112), (323, 58), (289, 34), (324, 38), (275, 92),
+        (299, 66), (318, 72), (273, 119), (335, 7), (312, 13), (297, 32), (256, 54), (303, 19),
+        (293, 7), (310, 42), (360, 116), (240, 88),
+    ],
+    (7, 4): [
+        (201, 1083), (264, 1837), (255, 628), (281, 1216), (264, 893), (245, 193), (231, 2061),
+        (204, 277), (294, 1773), (268, 1597), (256, 657), (233, 855), (256, 1055), (214, 1689),
+        (272, 1018), (202, 1529), (247, 1199), (253, 1349), (272, 2260), (219, 1023),
+    ],
+    (2, 20): [
+        (770, 845821), (805, 40621), (664, 596653), (783, 894065), (615, 126963),
+        (734, 160475), (674, 214313), (646, 1000671), (695, 804515), (749, 173647),
+        (770, 711051), (727, 880791), (719, 66163), (674, 483705), (614, 531157), (759, 98411),
+        (680, 491865), (569, 340081), (624, 298545), (764, 837547),
+    ],
+    (3, 13): [
+        (504, 1544032), (441, 21704), (425, 1117825), (391, 69593), (452, 655616),
+        (411, 508450), (433, 1164805), (485, 626866), (384, 48661), (424, 783707),
+        (422, 295054), (413, 743320), (515, 670811), (492, 554825), (499, 865459),
+        (475, 208015), (486, 864173), (412, 1480241), (451, 975977), (417, 1320988),
+    ],
+}
+
+
+class TestGranvilleKernel:
+    @pytest.mark.parametrize("p,q", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 3), (7, 4), (11, 2)])
+    def test_every_pair_to_300(self, p, q):
+        pp = PrimePower(p, q)
+        for m in range(0, 301):
+            c = 1
+            for n in range(0, m + 1):
+                g = granville_binom_mod_pq(m, n, pp)
+                assert (g.e0, g.unit_residue) == exact_split(c, p, pp.modulus), (m, n, p, q)
+                c = c * (m - n) // (n + 1)
+
+    @pytest.mark.parametrize("p,q", [(2, 20), (3, 13)])
+    def test_large_table_spot_checks(self, p, q):
+        pp = PrimePower(p, q)
+        rng = random.Random(p * q)
+        pairs = [(m, n) for m in (rng.randrange(1, 3000) for _ in range(25)) for n in (m // 3, m // 2)]
+        # around one and several full blocks of the table, with short binomials
+        for m in (pp.modulus - 1, pp.modulus, pp.modulus + 1, 3 * pp.modulus + 7):
+            pairs += [(m, n) for n in (0, 1, 2, 5, 17)] + [(m, m - 3)]
+        for m, n in pairs:
+            g = granville_binom_mod_pq(m, n, pp)
+            assert (g.e0, g.unit_residue) == exact_split(comb(m, n), p, pp.modulus), (m, n)
+
+    @pytest.mark.parametrize("p,q", sorted(PINNED))
+    def test_pinned_huge_pairs(self, p, q):
+        pp = PrimePower(p, q)
+        got = [granville_binom_mod_pq(m, n, pp) for m, n in seeded_pairs(p, q)]
+        assert [(g.e0, g.unit_residue) for g in got] == PINNED[(p, q)]
+
+    def test_above_table_cap_small_m(self):
+        # no table for 2**40 or 3**16: each window's k!_p is a direct product
+        for pp in (PrimePower(2, 40), PrimePower(3, 16)):
+            for m in (0, 1, 100, 12345):
+                for n in (0, m // 3, m // 2, m):
+                    g = granville_binom_mod_pq(m, n, pp)
+                    assert (g.e0, g.unit_residue) == exact_split(comb(m, n), pp.p, pp.modulus)
+
+    def test_above_table_cap_refused(self):
+        with pytest.raises(SizeGuardError):
+            granville_binom_mod_pq(2**50, 12345, PrimePower(2, 40))
+        with pytest.raises(SizeGuardError):
+            catalan_residue_mod_pq(PrimePower(2, 40), 12345)
+
+
+class TestUnitFactorialTable:
+    @pytest.mark.parametrize("p,q", [(2, 10), (3, 7), (7, 4)])
+    def test_matches_prefix_loop(self, p, q):
+        pq = p**q
+        expected = [1] * pq
+        acc = 1
+        for k in range(1, pq):
+            if k % p:
+                acc = acc * k % pq
+            expected[k] = acc
+        table = _unit_factorial_table(p, q)
+        assert table.dtype == "int64"
+        assert table.tolist() == expected
+        # the full block is Gauss' generalized Wilson unit
+        assert expected[-1] == (1 if p == 2 and q >= 3 else pq - 1)
+
+    def test_no_table_above_cap(self):
+        assert _unit_factorial_table(2, 23) is None
+
+
+class TestFactorialAboveCap:
+    def test_small_arguments_answered(self):
+        pp = PrimePower(2, 40)
+        assert factorial_p_mod(12345, pp) == p_free_factorial(12345, 2) % pp.modulus
+        # whole blocks contribute +1 for p = 2, q >= 3: 2**40 + 5 -> 1 * 3 * 5
+        assert factorial_p_mod(2**40 + 5, pp) == 15
+        assert factorial_p_mod(2 * 3**16 + 4, PrimePower(3, 16)) == 8
+
+    def test_long_direct_product_refused(self):
+        with pytest.raises(SizeGuardError, match="direct product"):
+            factorial_p_mod(2**39, PrimePower(2, 40))
+        with pytest.raises(SizeGuardError):
+            factorial_p_mod(5 * 2**40 + 2**22 + 1, PrimePower(2, 40))
+
+
+class TestPlainIntResults:
+    """Results are Python ints, never numpy scalars: repr() must not change."""
+
+    def test_types(self):
+        n = 2**1518 + 2**759 + 1
+        for p, q in ((2, 2), (3, 2), (2, 20), (3, 13), (2, 40)):
+            pp = PrimePower(p, q)
+            m = pp.modulus * n + 1
+            if pp.modulus < 2**22:
+                g = granville_binom_mod_pq(m, n, pp)
+                assert type(g.e0) is int and type(g.unit_residue) is int
+                assert type(catalan_residue_mod_pq(pp, n)) is int
+            g = granville_binom_mod_pq(1000, 321, pp)
+            assert type(g.e0) is int and type(g.unit_residue) is int
+            assert type(factorial_p_mod(1000, pp)) is int
+        for p in (2, 3, 7):
+            assert type(sigma_p(n, p)) is int
+            assert type(kummer_carries(n, n // 3, p)) is int
+            assert type(kummer_carries(n, n // 3, p, from_digit=5)) is int
+            assert {type(d) for d in to_base_p(n, p).digits} == {int}
 
 
 class TestInverse:
