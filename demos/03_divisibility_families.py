@@ -14,7 +14,6 @@ from pqcat import (
     catalan_valuation,
     divides,
     enumerate_exceptions,
-    enumerate_q2,
 )
 
 print("Small exact values of F(s, n):")
@@ -22,7 +21,7 @@ for s in (2, 3, 4, 9):
     print(f"  s = {s}: {[catalan_exact(s, n) for n in range(7)]}")
 
 print("\nF(4, n) divisibility by 4: the failures below 60 and their residues")
-for e in enumerate_q2(2, 60):
+for e in enumerate_exceptions(PrimePower(2, 2), 60):
     n = e.value
     residue = catalan_residue_mod_pq(PrimePower(2, 2), n)
     print(f"  n = {n:2d} = {n:>6b}_2  {e.kind:13s} F(4,{n}) == {residue} (mod 4)")

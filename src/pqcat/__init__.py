@@ -33,9 +33,6 @@ from .exceptions import (
     PurePower,
     count_exceptions_q2,
     enumerate_exceptions,
-    enumerate_q1,
-    enumerate_q2,
-    enumerate_qgeq3,
     exception_values,
     residue_of_exception,
 )
@@ -86,9 +83,6 @@ __all__ = [
     "count_exceptions_q2",
     "divides",
     "enumerate_exceptions",
-    "enumerate_q1",
-    "enumerate_q2",
-    "enumerate_qgeq3",
     "exception_values",
     "factorial_p_mod",
     "find_tau0",

@@ -151,13 +151,6 @@ def _big(text: str) -> int:
     return value
 
 
-def _jobs(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"need at least 1 job, got {value}")
-    return value
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pqcat")
     common = argparse.ArgumentParser(add_help=False)
@@ -207,12 +200,8 @@ def _build_parser() -> _Parser:
     p_scan.add_argument("--p", type=int, required=True)
     p_scan.add_argument("--q", type=int, required=True)
     p_scan.add_argument("--bound", type=_big, required=True)
-    mode = p_scan.add_mutually_exclusive_group()
-    mode.add_argument("--seed-forms", action="store_true", default=True,
-                      help="test only the structural candidates (default)")
-    mode.add_argument("--exhaustive", action="store_true",
-                      help="test every n up to the bound")
-    p_scan.add_argument("--jobs", type=_jobs, default=1)
+    p_scan.add_argument("--exhaustive", action="store_true",
+                        help="test every n up to the bound")
     p_scan.add_argument("--checkpoint", metavar="PATH")
 
     p_thr = add("threshold", help="the non-squarefree inequality")
@@ -304,7 +293,7 @@ def _cmd_exceptions(args) -> list[OutputRecord]:
     pp = PrimePower(args.p, args.q)
     if args.forms:
         result = [
-            {"value": e.value, "forms": [_form_payload(f) for f in e.forms]}
+            {"value": e.value, "forms": [_form_payload(e.form)]}
             for e in enumerate_exceptions(pp, args.bound)
         ]
     else:
@@ -334,19 +323,9 @@ def _cmd_residues(args) -> list[OutputRecord]:
 def _cmd_scan(args) -> list[OutputRecord]:
     pp = PrimePower(args.p, args.q)
     report = scan_candidates(
-        pp,
-        args.bound,
-        exhaustive=args.exhaustive,
-        jobs=args.jobs,
-        checkpoint_path=args.checkpoint,
+        pp, args.bound, exhaustive=args.exhaustive, checkpoint_path=args.checkpoint
     )
-    inputs = {
-        "p": args.p,
-        "q": args.q,
-        "bound": args.bound,
-        "exhaustive": args.exhaustive,
-        "jobs": args.jobs,
-    }
+    inputs = {"p": args.p, "q": args.q, "bound": args.bound, "exhaustive": args.exhaustive}
     result = {
         "candidates_tested": report.candidates_tested,
         "squarefree_hits": list(report.squarefree_hits),

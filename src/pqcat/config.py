@@ -1,12 +1,7 @@
-"""Resource guards and environment-backed defaults.
+"""Resource guards and the one environment-backed default.
 
-Environment variables (command-line flags take precedence over these,
-and these take precedence over the built-in defaults):
-
-    PQCAT_PRECISION      working precision in bits for the threshold
-                         inequality (default 256)
-    PQCAT_SIEVE_SEGMENT  segment length, in odd flags, of the segmented
-                         prime sieve (default 2**20)
+PQCAT_PRECISION sets the working precision in bits for the threshold
+inequality (default 256); the --precision flag takes precedence over it.
 """
 
 import os
@@ -26,7 +21,6 @@ class ThresholdSearchError(SizeGuardError):
 
 DEFAULT_EXACT_LIMIT = 10**6       # largest s*n for exact binomial evaluation
 DEFAULT_SIEVE_LIMIT = 10**8       # largest admissible prime-sieve target
-DEFAULT_SIEVE_SEGMENT = 1 << 20
 DEFAULT_PRECISION = 256
 PRECISION_CAP = 4096
 DEFAULT_EXPONENT_CAP = 1 << 14    # threshold search gives up past 2**cap
@@ -44,7 +38,3 @@ def env_int(name: str, default: int) -> int:
 
 def default_precision() -> int:
     return env_int("PQCAT_PRECISION", DEFAULT_PRECISION)
-
-
-def sieve_segment() -> int:
-    return env_int("PQCAT_SIEVE_SEGMENT", DEFAULT_SIEVE_SEGMENT)

@@ -13,9 +13,11 @@ walks, per admissible l:
   * then exponent lifts alpha = q t + j per class, each alpha repeated at
     most p - 1 times so the digits of X stay below p.
 
-Digit expansions are unique, so each exceptional n is produced exactly once,
-as a plain integer (exception_values).  Its canonical structural description
-is read back off the base-p digits of X only when asked for:
+The argument uses only base-p digit sums, so it holds for every prime p,
+p = 2 included.  Digit expansions are unique, so each exceptional n is
+produced exactly once, as a plain integer (exception_values).  Its one
+structural description is read back off the base-p digits of X only when
+asked for (enumerate_exceptions):
 
   * l = 1 is the pure-power family n = (p**(t q) - 1)/(p**q - 1);
   * for q = 2 the only other family has all exponents odd, with
@@ -73,15 +75,15 @@ Form = Union[PurePower, OddPowerSum, GeneralSum]
 
 @dataclass(frozen=True)
 class ExceptionForm:
-    """An exceptional n together with its structural description(s)."""
+    """An exceptional n together with its structural description."""
 
     value: int
     pp: PrimePower
-    forms: tuple[Form, ...]
+    form: Form
 
     @property
     def kind(self) -> str:
-        return self.forms[0].kind
+        return self.form.kind
 
 
 def _residue_class_multisets(p: int, q: int, l: int) -> Iterator[tuple[int, ...]]:
@@ -114,12 +116,9 @@ def _lift_class(p: int, q: int, j: int, slots: int, budget: int) -> list[int]:
 def exception_values(pp: PrimePower, bound: int) -> list[int]:
     """All n <= bound with p**q not dividing F(p**q, n), ascending.
 
-    Integers only: no structural record is built.  Raises ValueError for
-    p = 2 with q >= 3, where the structural enumeration is not established.
+    Integers only: no structural record is built.
     """
     p, q = pp.p, pp.q
-    if p == 2 and q >= 3:
-        raise ValueError(f"structural enumeration needs odd p for q >= 3, got {pp}")
     if bound < 1:
         return []
     mod = pp.modulus - 1
@@ -153,35 +152,8 @@ def _form_of(pp: PrimePower, n: int) -> Form:
 
 
 def enumerate_exceptions(pp: PrimePower, bound: int) -> list[ExceptionForm]:
-    """exception_values with each n's structural description, ascending.
-
-    Raises ValueError for p = 2 with q >= 3, where no structural family is
-    implemented.
-    """
-    return [ExceptionForm(n, pp, (_form_of(pp, n),)) for n in exception_values(pp, bound)]
-
-
-def enumerate_q1(p: int, bound: int) -> list[ExceptionForm]:
-    """All n <= bound with p not dividing F(p, n): the repunit-like family
-    n = 1 + p + ... + p**(t-1), ascending."""
-    return enumerate_exceptions(PrimePower(p, 1), bound)
-
-
-def enumerate_q2(p: int, bound: int) -> list[ExceptionForm]:
-    """All n <= bound with p**2 not dividing F(p**2, n), ascending, each
-    tagged as a pure power or a sum of odd powers with its composition."""
-    return enumerate_exceptions(PrimePower(p, 2), bound)
-
-
-def enumerate_qgeq3(pp: PrimePower, bound: int) -> list[ExceptionForm]:
-    """All n <= bound with p**q not dividing F(p**q, n) for odd p, q >= 3.
-
-    The structural characterization needs an odd prime; p = 2 with q >= 3
-    is rejected (only a brute-force sweep covers it).
-    """
-    if pp.p == 2 or pp.q < 3:
-        raise ValueError(f"structural enumeration needs odd p and q >= 3, got {pp}")
-    return enumerate_exceptions(pp, bound)
+    """exception_values with each n's structural description, ascending."""
+    return [ExceptionForm(n, pp, _form_of(pp, n)) for n in exception_values(pp, bound)]
 
 
 def residue_of_exception(form: ExceptionForm) -> int:
@@ -189,13 +161,13 @@ def residue_of_exception(form: ExceptionForm) -> int:
     family, else the multinomial p!/(c_1! ... c_s!) of the composition."""
     if form.pp.q != 2:
         raise ValueError(f"residues by structure only apply to q = 2, got {form.pp}")
-    first = form.forms[0]
+    shape = form.form
     p2 = form.pp.modulus
-    if isinstance(first, PurePower):
+    if isinstance(shape, PurePower):
         return 1 % p2
-    if isinstance(first, OddPowerSum):
-        return multinomial(form.pp.p, first.composition) % p2
-    raise ValueError(f"unexpected form {first!r} for q = 2")
+    if isinstance(shape, OddPowerSum):
+        return multinomial(form.pp.p, shape.composition) % p2
+    raise ValueError(f"unexpected form {shape!r} for q = 2")
 
 
 def count_exceptions_q2(p: int, exponent_bound: int) -> int:

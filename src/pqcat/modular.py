@@ -30,7 +30,9 @@ from .digits import PrimePower, _digit_array, _require_nonneg, _require_prime
 _FACT_TABLE_MAX = 1 << 22
 
 
-@lru_cache(maxsize=None)
+# a table near 2**20 entries holds 8 MB, so only the most recent few stay;
+# eight covers a query mix that interleaves six moduli without rebuilding
+@lru_cache(maxsize=8)
 def _unit_factorial_table(p: int, q: int) -> np.ndarray | None:
     """table[k] = product of i <= k with p !| i, reduced mod p**q.
 

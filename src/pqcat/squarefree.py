@@ -18,7 +18,6 @@ import os
 import threading
 import time
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
 
@@ -28,6 +27,8 @@ from . import config
 from .config import SizeGuardError
 from .digits import PrimePower
 from .exceptions import exception_values
+
+_SEGMENT = 1 << 20  # odd flags per window of the segmented sieve
 
 _primes: list[int] = []
 _primes_limit = 1
@@ -55,15 +56,14 @@ def _extend_primes(limit: int) -> None:
     global _primes, _primes_limit
     if limit <= _primes_limit:
         return
-    segment = max(config.sieve_segment(), 1 << 10)
     base = _simple_sieve(isqrt(limit))
     if not _primes:
-        first = min(limit, 2 * segment)
+        first = min(limit, 2 * _SEGMENT)
         _primes = _simple_sieve(first)
         _primes_limit = first
     lo = _primes_limit + 1
     while lo <= limit:
-        hi = min(lo + 2 * segment - 1, limit)
+        hi = min(lo + 2 * _SEGMENT - 1, limit)
         start = lo | 1  # odd start of the window
         count = (hi - start) // 2 + 1
         flags = np.ones(count, dtype=bool)
@@ -179,7 +179,6 @@ def scan_candidates(
     bound: int,
     *,
     exhaustive: bool = False,
-    jobs: int = 1,
     checkpoint_path: str | None = None,
 ) -> ScanReport:
     """Squarefree hits of C(p**q n + 1, n) for n <= bound.
@@ -208,36 +207,20 @@ def scan_candidates(
     todo = [n for n in candidates if n > resume_from]
     resume_from = min(resume_from, bound)  # reported checkpoint stays <= bound
 
-    def test(n: int) -> bool:
-        return is_squarefree_binom(pp.modulus * n + 1, n)
-
-    tested = 0
     last = resume_from
-    if jobs > 1 and len(todo) > 1:
-        workers = min(jobs, len(todo))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for n, ok in zip(todo, pool.map(test, todo)):
-                tested += 1
-                if ok:
-                    hits.append(n)
-        last = todo[-1] if todo else last
-        if checkpoint_path:
+    for i, n in enumerate(todo):
+        if is_squarefree_binom(pp.modulus * n + 1, n):
+            hits.append(n)
+        last = n
+        if checkpoint_path and (i + 1) % 512 == 0:
             _write_checkpoint(checkpoint_path, pp, bound, last, hits)
-    else:
-        for i, n in enumerate(todo):
-            if test(n):
-                hits.append(n)
-            tested += 1
-            last = n
-            if checkpoint_path and (i + 1) % 512 == 0:
-                _write_checkpoint(checkpoint_path, pp, bound, last, hits)
-        if checkpoint_path and todo:
-            _write_checkpoint(checkpoint_path, pp, bound, last, hits)
+    if checkpoint_path and todo:
+        _write_checkpoint(checkpoint_path, pp, bound, last, hits)
 
     return ScanReport(
         pp=pp,
         bound=bound,
-        candidates_tested=tested,
+        candidates_tested=len(todo),
         squarefree_hits=tuple(sorted(set(hits))),
         elapsed=time.monotonic() - started,
         checkpoint=last,

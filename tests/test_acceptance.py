@@ -23,6 +23,7 @@ from pqcat import (
     catalan_valuation,
     count_exceptions_q2,
     enumerate_exceptions,
+    exception_values,
     granville_binom_mod_pq,
     inequality_sides,
     is_squarefree_binom,
@@ -211,13 +212,18 @@ def test_criterion_07_analytic_witnesses(capsys):
 
 
 def test_criterion_08_count_bounds(capsys):
+    # the exact count at 2**1518: sums of two distinct odd powers of 2,
+    # C(760, 2) of them, plus the 759 pure powers
+    exact = len(exception_values(PrimePower(2, 2), 2**1518))
     ok = (
         count_exceptions_q2(2, 761) == 289180 == comb(761, 2)
         and count_exceptions_q2(3, 478) == 18088476 == comb(478, 3)
+        and exact == 289179 == comb(760, 2) + 759
     )
     report(
         capsys, 8, "exception count bounds C(761,2), C(478,3)", ok,
-        "C(761,2) = 289180 (reference prints 289,179, an off-by-one)",
+        f"C(761,2) = 289180; the reference's 289,179 is the exact count {exact} "
+        "of (2,2) exceptions to 2^1518 = C(760,2) + 759",
     )
     assert ok
 

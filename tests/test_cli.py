@@ -64,6 +64,7 @@ class TestDispatch:
     def test_scan(self, capsys):
         code, recs = run_lines(capsys, ["scan", "--p", "2", "--q", "2", "--bound", "100"])
         assert recs[0]["result"]["squarefree_hits"] == [1, 3, 45]
+        assert set(recs[0]["inputs"]) == {"bound", "exhaustive", "p", "q"}
 
     def test_scan_checkpoint_echoed(self, capsys, tmp_path):
         path = str(tmp_path / "ck.json")
@@ -156,8 +157,11 @@ class TestExceptionForms:
 class TestExitCodes:
     def test_domain_error(self, capsys):
         assert run(["digits", "--n", "10", "--p", "6"]) == EXIT_DOMAIN
-        # no structural enumeration exists for p = 2 with q >= 3
-        assert run(["exceptions", "--p", "2", "--q", "3", "--bound", "100"]) == EXIT_DOMAIN
+        capsys.readouterr()
+        # p = 2 with q >= 3 is answered like every other prime power
+        code, recs = run_lines(capsys, ["exceptions", "--p", "2", "--q", "3", "--bound", "100"])
+        assert code == EXIT_OK
+        assert recs[0]["result"] == [n for n in range(1, 101) if bin(7 * n + 1).count("1") <= 3]
 
     def test_resource_error(self, capsys):
         assert run(["catalan", "--s", "4", "--n", str(10**9)]) == EXIT_RESOURCE
@@ -219,11 +223,15 @@ class TestExitCodes:
         with _unlimited_int_str():
             assert int(emitted) == 2**20000
 
-    def test_scan_jobs_at_least_one(self, capsys):
-        assert run(["scan", "--p", "2", "--q", "2", "--bound", "100", "--jobs", "0"]) == EXIT_USAGE
-        assert "need at least 1 job, got 0" in capsys.readouterr().err
-        code, recs = run_lines(capsys, ["scan", "--p", "2", "--q", "2", "--bound", "100", "--jobs", "1"])
-        assert code == EXIT_OK and recs[0]["result"]["squarefree_hits"] == [1, 3, 45]
+    @pytest.mark.parametrize("flags", [["--jobs", "2"], ["--seed-forms"]])
+    def test_scan_removed_flags_are_usage_errors(self, capsys, flags):
+        assert run(["scan", "--p", "2", "--q", "2", "--bound", "100", *flags]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: pqcat")
+        assert captured.err.splitlines()[-1] == (
+            f"pqcat: error: unrecognized arguments: {' '.join(flags)}"
+        )
 
 
 class TestEmit:

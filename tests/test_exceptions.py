@@ -10,9 +10,6 @@ from pqcat import (
     catalan_valuation,
     count_exceptions_q2,
     enumerate_exceptions,
-    enumerate_q1,
-    enumerate_q2,
-    enumerate_qgeq3,
     exception_values,
     residue_of_exception,
 )
@@ -28,45 +25,45 @@ def brute_force(pp: PrimePower, bound: int) -> list[int]:
 
 class TestQ1:
     def test_base_two(self):
-        assert values(enumerate_q1(2, 100)) == [1, 3, 7, 15, 31, 63]
+        assert values(enumerate_exceptions(PrimePower(2, 1), 100)) == [1, 3, 7, 15, 31, 63]
 
     def test_base_three(self):
-        assert values(enumerate_q1(3, 50)) == [1, 4, 13, 40]
+        assert values(enumerate_exceptions(PrimePower(3, 1), 50)) == [1, 4, 13, 40]
 
     def test_empty_bound(self):
-        assert enumerate_q1(5, 0) == []
+        assert enumerate_exceptions(PrimePower(5, 1), 0) == []
 
     def test_tags(self):
-        forms = enumerate_q1(2, 10)
+        forms = enumerate_exceptions(PrimePower(2, 1), 10)
         assert all(e.kind == "pure_power" for e in forms)
-        assert [e.forms[0].t for e in forms] == [1, 2, 3]
+        assert [e.form.t for e in forms] == [1, 2, 3]
 
 
 class TestQ2:
     def test_base_two_sixty(self):
-        assert values(enumerate_q2(2, 60)) == [1, 3, 5, 11, 13, 21, 43, 45, 53]
+        got = values(enumerate_exceptions(PrimePower(2, 2), 60))
+        assert got == [1, 3, 5, 11, 13, 21, 43, 45, 53]
 
     def test_base_two_binary_strings(self):
-        got = [format(n, "b") for n in values(enumerate_q2(2, 60))]
+        got = [format(n, "b") for n in values(enumerate_exceptions(PrimePower(2, 2), 60))]
         assert got == ["1", "11", "101", "1011", "1101", "10101", "101011", "101101", "110101"]
 
     def test_tiny_bound(self):
-        assert values(enumerate_q2(2, 1)) == [1]
+        assert values(enumerate_exceptions(PrimePower(2, 2), 1)) == [1]
 
     def test_base_three_ten(self):
         # brute force over n <= 10 gives 1, 4, 7, 10 (7 = (3 + 2*27 - 1)/8)
-        found = enumerate_q2(3, 10)
+        found = enumerate_exceptions(PrimePower(3, 2), 10)
         assert values(found) == brute_force(PrimePower(3, 2), 10) == [1, 4, 7, 10]
         four = found[1]
-        assert four.forms[0] == OddPowerSum(((2, 0), (1, 1)))  # (2*3 + 27 - 1)/8
+        assert four.form == OddPowerSum(((2, 0), (1, 1)))  # (2*3 + 27 - 1)/8
         ten = found[3]
-        assert ten.forms[0] == PurePower(2)  # (81 - 1)/8
+        assert ten.form == PurePower(2)  # (81 - 1)/8
 
     def test_forms_reconstruct_values(self):
         for p in (2, 3, 5):
-            pp = PrimePower(p, 2)
-            for e in enumerate_q2(p, 3000):
-                f = e.forms[0]
+            for e in enumerate_exceptions(PrimePower(p, 2), 3000):
+                f = e.form
                 if isinstance(f, PurePower):
                     assert e.value == (p ** (2 * f.t) - 1) // (p * p - 1)
                 else:
@@ -81,26 +78,20 @@ class TestQ2:
 class TestQ3Plus:
     def test_pure_power_family_present(self):
         pp = PrimePower(3, 3)
-        got = values(enumerate_qgeq3(pp, 800))
+        got = values(enumerate_exceptions(pp, 800))
         for t in (1, 2, 3):
             assert (27**t - 1) // 26 in got
-
-    def test_hypothesis_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_qgeq3(PrimePower(2, 3), 100)
-        with pytest.raises(ValueError):
-            enumerate_qgeq3(PrimePower(3, 2), 100)
 
     @pytest.mark.parametrize("p,q,bound", [(3, 3, 10**4), (3, 4, 3000), (5, 3, 5000), (7, 3, 4000)])
     def test_matches_brute_force(self, p, q, bound):
         pp = PrimePower(p, q)
-        assert values(enumerate_qgeq3(pp, bound)) == brute_force(pp, bound)
+        assert values(enumerate_exceptions(pp, bound)) == brute_force(pp, bound)
 
     def test_congruence_of_exponents(self):
         pp = PrimePower(3, 3)
         mod = pp.modulus - 1
-        for e in enumerate_qgeq3(pp, 10**4):
-            f = e.forms[0]
+        for e in enumerate_exceptions(pp, 10**4):
+            f = e.form
             if isinstance(f, PurePower):
                 continue
             assert sum(pow(3, a % 3, mod) for a in f.exponents) % mod == 1 % mod
@@ -140,7 +131,8 @@ def digit_sum_sweep(p: int, q: int, bound: int) -> list[int]:
 
 class TestExceptionValues:
     @pytest.mark.parametrize(
-        "p,q", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (3, 3), (5, 3), (3, 4)]
+        "p,q",
+        [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (3, 3), (5, 3), (3, 4), (2, 3), (2, 4), (2, 5)],
     )
     def test_digit_sum_sweep_2e4(self, p, q):
         got = exception_values(PrimePower(p, q), 2 * 10**4)
@@ -159,9 +151,6 @@ class TestExceptionValues:
         for p, q in ((2, 1), (2, 2), (3, 3)):
             assert exception_values(PrimePower(p, q), bound) == []
 
-    def test_p2_q3_rejected(self):
-        with pytest.raises(ValueError):
-            exception_values(PrimePower(2, 3), 100)
 
 
 class TestRecursiveBitConstruction:
@@ -169,7 +158,7 @@ class TestRecursiveBitConstruction:
         # base-2 strings of the q=2, p=2 exceptions: each odd-length row starts
         # at 1010...1 and the rest insert one extra 1 bit right of an existing
         # 1, moving left from the rightmost
-        all_values = values(enumerate_q2(2, 2**13))
+        all_values = values(enumerate_exceptions(PrimePower(2, 2), 2**13))
         rows: dict[int, list[str]] = {}
         for n in all_values:
             s = format(n, "b")
@@ -192,31 +181,31 @@ class TestRecursiveBitConstruction:
 
 class TestResidueOfException:
     def test_pure_power_is_one(self):
-        for e in enumerate_q2(5, 10**4):
-            if isinstance(e.forms[0], PurePower):
+        for e in enumerate_exceptions(PrimePower(5, 2), 10**4):
+            if isinstance(e.form, PurePower):
                 assert residue_of_exception(e) == 1
 
     def test_worked_composition(self):
         # C(5; 2,2,1) = 30 == 5 (mod 25), attained at n = 141
-        found = [e for e in enumerate_q2(5, 200) if e.value == 141]
+        found = [e for e in enumerate_exceptions(PrimePower(5, 2), 200) if e.value == 141]
         assert len(found) == 1
-        assert sorted(found[0].forms[0].composition, reverse=True) == [2, 2, 1]
+        assert sorted(found[0].form.composition, reverse=True) == [2, 2, 1]
         assert residue_of_exception(found[0]) == 5
 
     def test_p2_composition(self):
-        three = [e for e in enumerate_q2(2, 5) if e.value == 3][0]
-        assert three.forms[0].composition == (1, 1)
+        three = [e for e in enumerate_exceptions(PrimePower(2, 2), 5) if e.value == 3][0]
+        assert three.form.composition == (1, 1)
         assert residue_of_exception(three) == 2
 
     def test_rejects_other_q(self):
-        form = enumerate_q1(3, 10)[0]
+        form = enumerate_exceptions(PrimePower(3, 1), 10)[0]
         with pytest.raises(ValueError):
             residue_of_exception(form)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_agrees_with_modular_residue(self, p):
         pp = PrimePower(p, 2)
-        for e in enumerate_q2(p, 300):
+        for e in enumerate_exceptions(PrimePower(p, 2), 300):
             assert residue_of_exception(e) == catalan_residue_mod_pq(pp, e.value)
 
 

@@ -258,6 +258,17 @@ class TestUnitFactorialTable:
     def test_no_table_above_cap(self):
         assert _unit_factorial_table(2, 23) is None
 
+    def test_cache_is_bounded(self):
+        # 12 distinct small moduli: only the 8 most recent tables stay cached
+        _unit_factorial_table.cache_clear()
+        moduli = [PrimePower(p, q) for p, q in ((2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2),
+                                                (7, 2), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1))]
+        for pp in moduli:
+            for m, n in ((30, 7), (100, 41)):
+                g = granville_binom_mod_pq(m, n, pp)
+                assert (g.e0, g.unit_residue) == exact_split(comb(m, n), pp.p, pp.modulus)
+        assert _unit_factorial_table.cache_info().currsize == 8
+
 
 class TestFactorialAboveCap:
     def test_small_arguments_answered(self):

@@ -103,7 +103,7 @@ class TestScan:
         report = scan_candidates(PrimePower(3, 1), 50, exhaustive=True)
         assert report.candidates_tested == 50
 
-    @pytest.mark.parametrize("p,q", [(2, 2), (3, 2)])
+    @pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (2, 3), (2, 4)])
     def test_filter_matches_exhaustive(self, p, q):
         pp = PrimePower(p, q)
         seeded = scan_candidates(pp, 10**4)
@@ -115,10 +115,10 @@ class TestScan:
         b = scan_candidates(PrimePower(2, 2), 500)
         assert a.same_outcome(b)
 
-    def test_jobs_match_sequential(self):
-        seq = scan_candidates(PrimePower(2, 2), 2000)
-        par = scan_candidates(PrimePower(2, 2), 2000, jobs=4)
-        assert seq.same_outcome(par)
+    def test_hits_2_3_by_factorization(self):
+        # every n <= 2000, not only the candidates, against the exact binomial
+        expected = tuple(n for n in range(1, 2001) if squarefree_by_factorization(8 * n + 1, n))
+        assert scan_candidates(PrimePower(2, 3), 2000).squarefree_hits == expected == (5, 9)
 
     def test_checkpoint_roundtrip(self, tmp_path):
         path = str(tmp_path / "scan.json")
@@ -147,6 +147,12 @@ class TestFilterSoundness:
     def test_3_2(self):
         assert verify_divisibility_filter(PrimePower(3, 2), 300)
 
+    def test_2_3(self):
+        assert verify_divisibility_filter(PrimePower(2, 3), 3000)
+
+    def test_2_4(self):
+        assert verify_divisibility_filter(PrimePower(2, 4), 3000)
+
     def test_trivial(self):
         assert verify_divisibility_filter(PrimePower(2, 2), 1)
 
@@ -156,7 +162,7 @@ class TestFilterSoundness:
 
     def test_divisible_implies_not_squarefree(self):
         # the contrapositive the filter rests on, checked directly
-        for p, q in ((2, 2), (3, 2)):
+        for p, q in ((2, 2), (3, 2), (2, 3), (2, 4)):
             pp = PrimePower(p, q)
             exceptional = {e.value for e in enumerate_exceptions(pp, 400)}
             for n in range(1, 401):
