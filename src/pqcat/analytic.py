@@ -182,13 +182,15 @@ def _margin(inst: InequalityInstance, n: int, form: str):
         return lhs - rhs
 
 
+_GRID_STEP = 64  # exponent spacing of find_tau0's dominance check
+_GRID_POINTS = 8
+
+
 def find_tau0(
     inst: InequalityInstance,
     *,
     form: str = "general",
     max_exponent: int | None = None,
-    grid_step: int = 64,
-    grid_points: int = 8,
 ) -> int:
     """Smallest exponent e with the inequality holding at n = 2**e but not
     at 2**(e - 1); the bracket [2**(e-1), 2**e] contains the sign change.
@@ -218,15 +220,15 @@ def find_tau0(
         else:
             lo = mid
 
-    margins = [_margin(inst, 1 << (hi + grid_step * k), form) for k in range(grid_points)]
+    margins = [_margin(inst, 1 << (hi + _GRID_STEP * k), form) for k in range(_GRID_POINTS)]
     for k, m in enumerate(margins):
         if not m > 0:
             raise ThresholdSearchError(
-                f"inequality fails again at 2**{hi + grid_step * k} after the bracket"
+                f"inequality fails again at 2**{hi + _GRID_STEP * k} after the bracket"
             )
         if k and not (m > margins[k - 1]):
             raise ThresholdSearchError(
-                f"margin not increasing at 2**{hi + grid_step * k}"
+                f"margin not increasing at 2**{hi + _GRID_STEP * k}"
             )
     return hi
 

@@ -158,7 +158,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     def add(name: str, help: str):
-        return sub.add_parser(name, help=help, parents=[common])
+        sub_parser = sub.add_parser(name, help=help, parents=[common])
+        sub_parser.set_defaults(parser=sub_parser)  # reports its own leftovers
+        return sub_parser
 
     p_digits = add("digits", help="base-p expansion and digit sum")
     p_digits.add_argument("--n", type=_big, required=True)
@@ -401,7 +403,9 @@ def run(argv: list[str] | None = None) -> int:
     """Parse argv, execute, write records to stdout; returns the exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, leftovers = parser.parse_known_args(argv)
+        if leftovers:
+            args.parser.error(f"unrecognized arguments: {' '.join(leftovers)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

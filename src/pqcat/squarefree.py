@@ -6,6 +6,13 @@ carries at least twice.  Two carries need at least three base-r digits in
 m, so only primes r <= isqrt(m) can contribute; the test is exact and
 costs O(pi(sqrt(m)) * log m) with no big-integer arithmetic at all.
 
+The primes come from one shared sieve held as an immutable snapshot
+(covered limit, every prime <= it).  Growth builds a new list and
+publishes it with a single assignment, so threads share the cache without
+a lock and no reader sees a half-grown list.  Threads that grow it at the
+same time may each sieve; the last assignment wins, and every snapshot is
+complete.
+
 For q >= 2 every non-exceptional n has p**q | C(p**q n + 1, n), hence the
 binomial is divisible by p**2 and cannot be squarefree: scanning only the
 enumerated exceptions loses nothing.
@@ -15,10 +22,9 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt
 
 import numpy as np
@@ -28,15 +34,11 @@ from .config import SizeGuardError
 from .digits import PrimePower
 from .exceptions import exception_values
 
-_SEGMENT = 1 << 20  # odd flags per window of the segmented sieve
-
-_primes: list[int] = []
-_primes_limit = 1
-_primes_lock = threading.Lock()  # growth is serialized; reads share the list
+_sieved: tuple[int, list[int]] = (1, [])  # (covered limit, every prime <= it)
 
 
 def _simple_sieve(limit: int) -> list[int]:
-    """Plain odd-only sieve, used for base primes."""
+    """Plain odd-only sieve of Eratosthenes."""
     if limit < 2:
         return []
     if limit == 2:
@@ -51,49 +53,21 @@ def _simple_sieve(limit: int) -> list[int]:
     return [2] + (2 * np.nonzero(flags)[0] + 1).tolist()
 
 
-def _extend_primes(limit: int) -> None:
-    """Grow the shared prime cache to cover [2, limit] segment by segment."""
-    global _primes, _primes_limit
-    if limit <= _primes_limit:
-        return
-    base = _simple_sieve(isqrt(limit))
-    if not _primes:
-        first = min(limit, 2 * _SEGMENT)
-        _primes = _simple_sieve(first)
-        _primes_limit = first
-    lo = _primes_limit + 1
-    while lo <= limit:
-        hi = min(lo + 2 * _SEGMENT - 1, limit)
-        start = lo | 1  # odd start of the window
-        count = (hi - start) // 2 + 1
-        flags = np.ones(count, dtype=bool)
-        for p in base:
-            if p == 2:
-                continue
-            if p * p > hi:
-                break
-            first_mult = max(p * p, ((start + p - 1) // p) * p)
-            if first_mult % 2 == 0:
-                first_mult += p
-            if first_mult <= hi:
-                flags[(first_mult - start) // 2 :: p] = False
-        _primes.extend((start + 2 * np.nonzero(flags)[0]).tolist())
-        lo = hi + 1
-    _primes_limit = limit
-
-
 def primes_upto(limit: int) -> list[int]:
-    """Ascending primes <= limit from a shared, monotonically grown cache."""
+    """Ascending primes <= limit from the shared snapshot, grown by doubling."""
+    global _sieved
     if limit > config.DEFAULT_SIEVE_LIMIT:
         raise SizeGuardError(
             f"sieve target {limit} exceeds the guard {config.DEFAULT_SIEVE_LIMIT}"
         )
     if limit < 2:
         return []
-    if limit > _primes_limit:
-        with _primes_lock:
-            _extend_primes(limit)
-    return _primes[: bisect_right(_primes, limit)]
+    covered, primes = _sieved
+    if limit > covered:
+        covered = min(max(limit, 2 * covered), config.DEFAULT_SIEVE_LIMIT)
+        primes = _simple_sieve(covered)
+        _sieved = (covered, primes)
+    return primes[: bisect_right(primes, limit)]
 
 
 def _carries_at_least_two(n: int, r: int, p: int) -> bool:
@@ -136,18 +110,8 @@ class ScanReport:
     bound: int
     candidates_tested: int
     squarefree_hits: tuple[int, ...]
-    elapsed: float
+    elapsed: float = field(compare=False)
     checkpoint: int  # last n processed; 0 when nothing was scanned
-
-    def same_outcome(self, other: "ScanReport") -> bool:
-        """Equality modulo the elapsed field."""
-        return (
-            self.pp == other.pp
-            and self.bound == other.bound
-            and self.candidates_tested == other.candidates_tested
-            and self.squarefree_hits == other.squarefree_hits
-            and self.checkpoint == other.checkpoint
-        )
 
 
 def _write_checkpoint(path: str, pp: PrimePower, bound: int, last_n: int, hits: list[int]) -> None:
@@ -204,8 +168,10 @@ def scan_candidates(
     if checkpoint_path and os.path.exists(checkpoint_path):
         resume_from, prior = _read_checkpoint(checkpoint_path, pp)
         hits.extend(h for h in prior if h <= bound)
-    todo = [n for n in candidates if n > resume_from]
+    todo = candidates[bisect_right(candidates, resume_from):]
     resume_from = min(resume_from, bound)  # reported checkpoint stays <= bound
+    if todo:  # one sieve for the largest m, so no candidate grows the cache
+        primes_upto(isqrt(pp.modulus * todo[-1] + 1))
 
     last = resume_from
     for i, n in enumerate(todo):
@@ -235,9 +201,4 @@ def verify_divisibility_filter(pp: PrimePower, bound: int) -> bool:
     if bound < 1:
         return True
     exceptional = set(exception_values(pp, bound))
-    for n in range(1, bound + 1):
-        if n in exceptional:
-            continue
-        if is_squarefree_binom(pp.modulus * n + 1, n):
-            return False
-    return True
+    return exceptional.issuperset(scan_candidates(pp, bound, exhaustive=True).squarefree_hits)

@@ -15,7 +15,7 @@ reports the omission in its printed line.
 """
 
 import time
-from math import comb
+from math import comb, isqrt
 
 from pqcat import (
     InequalityInstance,
@@ -152,12 +152,13 @@ def test_criterion_05_granville_oracle(capsys):
 
 def test_criterion_06_squarefree_oracle_and_scans(capsys):
     started = time.monotonic()
-    from pqcat.squarefree import primes_upto
+    # trial division, so the oracle shares no code with pqcat's sieve
+    primes = [k for k in range(2, 2001) if all(k % d for d in range(2, isqrt(k) + 1))]
 
     def by_factorization(m, n):
         c = comb(m, n)
-        for p in primes_upto(m or 1):
-            if p > c:
+        for p in primes:
+            if p > m or p > c:
                 break
             if c % p == 0:
                 c //= p

@@ -228,9 +228,9 @@ class TestExitCodes:
         assert run(["scan", "--p", "2", "--q", "2", "--bound", "100", *flags]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("usage: pqcat")
+        assert captured.err.startswith("usage: pqcat scan ")
         assert captured.err.splitlines()[-1] == (
-            f"pqcat: error: unrecognized arguments: {' '.join(flags)}"
+            f"pqcat scan: error: unrecognized arguments: {' '.join(flags)}"
         )
 
 

@@ -1,5 +1,7 @@
 import json
-from math import comb
+import sys
+import threading
+from math import comb, isqrt
 
 import pytest
 
@@ -14,11 +16,17 @@ from pqcat import (
 )
 
 
-def squarefree_by_factorization(m: int, n: int) -> bool:
-    """Trial-divide the exact binomial; every factor is <= m."""
+def trial_division_primes(limit: int) -> list[int]:
+    """Primes <= limit by trial division, sharing no code with the sieve."""
+    return [k for k in range(2, limit + 1) if all(k % d for d in range(2, isqrt(k) + 1))]
+
+
+def squarefree_by_factorization(m: int, n: int, primes: list[int]) -> bool:
+    """Trial-divide the exact binomial; every factor is <= m, and `primes`
+    must hold every prime <= m."""
     c = comb(m, n)
-    for p in primes_upto(m):
-        if p > c:
+    for p in primes:
+        if p > m or p > c:
             break
         if c % p == 0:
             c //= p
@@ -37,17 +45,56 @@ class TestPrimes:
         assert len(primes_upto(10**4)) == 1229
         assert len(primes_upto(10**6)) == 78498
 
-    def test_segment_boundaries(self):
+    def test_growth_order(self):
         # must agree across arbitrary cache growth order
         import pqcat.squarefree as sq
 
-        sq._primes, sq._primes_limit = [], 1
+        sq._sieved = (1, [])
         step = primes_upto(10)
         assert step == [2, 3, 5, 7]
         grown = primes_upto(10**5)
-        sq._primes, sq._primes_limit = [], 1
+        sq._sieved = (1, [])
         direct = primes_upto(10**5)
         assert grown == direct
+
+    def test_cold_cache_small_limits(self):
+        # every small limit from a cold cache, so each growth step is exercised
+        import pqcat.squarefree as sq
+
+        expected = trial_division_primes(40)
+        sq._sieved = (1, [])
+        for k in range(0, 41):
+            assert primes_upto(k) == [p for p in expected if p <= k], k
+
+    def test_threads_share_cold_cache(self):
+        import pqcat.squarefree as sq
+
+        limits = (10**3, 10**4, 10**5, 10**6)
+        pairs = [(8 * n + 1, n) for n in range(1, 200)] + [(2**40 + 1, 2**38)]
+        want_primes = {limit: primes_upto(limit) for limit in limits}
+        want_sf = [is_squarefree_binom(m, n) for m, n in pairs]
+
+        sq._sieved = (1, [])
+        start = threading.Barrier(len(limits))
+        got: dict[int, tuple] = {}
+
+        def work(limit: int) -> None:
+            start.wait()
+            got[limit] = (primes_upto(limit), [is_squarefree_binom(m, n) for m, n in pairs])
+
+        threads = [threading.Thread(target=work, args=(limit,)) for limit in limits]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads' growth steps
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for limit in limits:
+            assert got[limit] == (want_primes[limit], want_sf), limit
 
     def test_guard(self):
         with pytest.raises(SizeGuardError):
@@ -67,18 +114,20 @@ class TestIsSquarefree:
             is_squarefree_binom(4, -1)
 
     def test_oracle_agreement_small(self):
+        primes = trial_division_primes(300)
         for m in range(0, 301):
             for n in range(0, m // 2 + 1):
-                assert is_squarefree_binom(m, n) == squarefree_by_factorization(m, n), (m, n)
+                assert is_squarefree_binom(m, n) == squarefree_by_factorization(m, n, primes), (m, n)
 
     def test_oracle_agreement_spot_large(self):
         import random
 
         rng = random.Random(1618)
+        primes = trial_division_primes(2000)
         for _ in range(300):
             m = rng.randrange(2, 2001)
             n = rng.randrange(0, m + 1)
-            assert is_squarefree_binom(m, n) == squarefree_by_factorization(m, n), (m, n)
+            assert is_squarefree_binom(m, n) == squarefree_by_factorization(m, n, primes), (m, n)
 
 
 class TestScan:
@@ -113,11 +162,14 @@ class TestScan:
     def test_deterministic(self):
         a = scan_candidates(PrimePower(2, 2), 500)
         b = scan_candidates(PrimePower(2, 2), 500)
-        assert a.same_outcome(b)
+        assert a == b  # elapsed takes no part in equality
 
     def test_hits_2_3_by_factorization(self):
         # every n <= 2000, not only the candidates, against the exact binomial
-        expected = tuple(n for n in range(1, 2001) if squarefree_by_factorization(8 * n + 1, n))
+        primes = trial_division_primes(8 * 2000 + 1)
+        expected = tuple(
+            n for n in range(1, 2001) if squarefree_by_factorization(8 * n + 1, n, primes)
+        )
         assert scan_candidates(PrimePower(2, 3), 2000).squarefree_hits == expected == (5, 9)
 
     def test_checkpoint_roundtrip(self, tmp_path):
@@ -132,6 +184,29 @@ class TestScan:
         second = scan_candidates(PrimePower(2, 2), 300, checkpoint_path=path)
         assert second.candidates_tested == 0
         assert second.squarefree_hits == first.squarefree_hits
+
+    def test_checkpoint_resumed_to_twice_the_bound(self, tmp_path):
+        # the shape of the benchmark's checkpointed sweep, at a small bound
+        path = str(tmp_path / "scan.json")
+        pp = PrimePower(3, 2)
+        first = scan_candidates(pp, 300, exhaustive=True, checkpoint_path=path)
+        assert first.candidates_tested == 300 and first.checkpoint == 300
+        resumed = scan_candidates(pp, 600, exhaustive=True, checkpoint_path=path)
+        assert resumed.candidates_tested == 300
+        assert resumed.checkpoint == 600
+        with open(path) as fh:
+            assert json.loads(fh.read())["last_n"] == "600"
+        plain = scan_candidates(pp, 600, exhaustive=True)
+        assert resumed.squarefree_hits == plain.squarefree_hits
+
+    def test_checkpoint_beyond_a_smaller_bound(self, tmp_path):
+        path = str(tmp_path / "scan.json")
+        pp = PrimePower(3, 2)
+        scan_candidates(pp, 300, exhaustive=True, checkpoint_path=path)
+        resumed = scan_candidates(pp, 100, exhaustive=True, checkpoint_path=path)
+        assert resumed.candidates_tested == 0
+        assert resumed.checkpoint == 100
+        assert resumed.squarefree_hits == scan_candidates(pp, 100, exhaustive=True).squarefree_hits
 
     def test_checkpoint_wrong_modulus_rejected(self, tmp_path):
         path = str(tmp_path / "scan.json")
