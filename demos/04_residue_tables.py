@@ -2,9 +2,11 @@
 """The complete residue tables of F(p**2, n) mod p**2.
 
 Every residue is 0, 1, or a multinomial p!/(c_1! ... c_s!) mod p**2 over a
-partition of p, so a partition scan reproduces the full table.  Running the
-scan for p = 7 turns up an eighth residue, 28 = C(7; 3,2,1,1) mod 49, that
-the reference tabulation of this table missed; the witness below checks it
+partition of p.  The library computes the table by a knapsack in the unit
+group mod p (see pqcat.residues); the partition scan printed first is the
+direct construction, the oracle that knapsack is tested against.  The table
+for p = 7 holds an eighth residue, 28 = C(7; 3,2,1,1) mod 49, that the
+reference tabulation of this table missed; the witness below checks it
 against the exact big integer.
 """
 

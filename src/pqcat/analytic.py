@@ -20,7 +20,7 @@ specialized_constants.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import iv, mp
@@ -59,12 +59,12 @@ class InequalityInstance:
 
     pp: PrimePower
     constants: InequalityConstants = GENERAL_CONSTANTS
-    precision: int = field(default=0)  # 0 means the configured default
+    precision: int | None = None  # None means the configured default
 
     def __post_init__(self) -> None:
         if self.pp.modulus > 99999:
             raise ValueError(f"the inequality requires p**q <= 99999, got {self.pp}")
-        bits = self.precision or config.default_precision()
+        bits = config.default_precision() if self.precision is None else self.precision
         if bits < 64:
             raise ValueError(f"precision must be >= 64 bits, got {bits}")
         object.__setattr__(self, "precision", bits)

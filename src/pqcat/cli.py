@@ -341,8 +341,8 @@ def _cmd_scan(args) -> list[OutputRecord]:
 
 def _cmd_threshold(args) -> list[OutputRecord]:
     pp = PrimePower(args.p, args.q)
-    precision = args.precision or config.default_precision()
-    inst = InequalityInstance(pp, precision=precision)
+    inst = InequalityInstance(pp, precision=args.precision)
+    precision = inst.precision
     forms = ["general", "specialized"] if args.form == "both" else [args.form]
     records: list[OutputRecord] = []
     points: list[tuple[str, int]] = []

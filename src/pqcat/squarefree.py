@@ -130,12 +130,16 @@ def _write_checkpoint(path: str, pp: PrimePower, bound: int, last_n: int, hits: 
 
 def _read_checkpoint(path: str, pp: PrimePower) -> tuple[int, list[int]]:
     with open(path, encoding="ascii") as fh:
-        record = json.loads(fh.read())
-    if record["p"] != pp.p or record["q"] != pp.q:
-        raise ValueError(
-            f"checkpoint {path} is for {record['p']}^{record['q']}, not {pp}"
-        )
-    return int(record["last_n"]), [int(h) for h in record["hits"]]
+        text = fh.read()
+    try:
+        record = json.loads(text)
+        p, q = record["p"], record["q"]
+        last_n, hits = int(record["last_n"]), [int(h) for h in record["hits"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path} is not a scan checkpoint: {exc!r}") from exc
+    if p != pp.p or q != pp.q:
+        raise ValueError(f"checkpoint {path} is for {p}^{q}, not {pp}")
+    return last_n, hits
 
 
 def scan_candidates(

@@ -212,6 +212,40 @@ class TestExitCodes:
         assert recs[0]["result"] == {"e0": 5, "unit_residue": 500236275}
 
     @pytest.mark.parametrize("argv", [
+        ["residues", "--sequence", "1000000"],
+        ["residues", "--p", "1000003"],
+    ])
+    def test_residues_above_guard_refused_at_once(self, argv):
+        started = time.monotonic()
+        proc = subprocess.run([sys.executable, "-m", "pqcat", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert time.monotonic() - started < 1.0
+        assert proc.returncode == EXIT_RESOURCE
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("pqcat: resource guard: ")
+
+    @pytest.mark.parametrize("content", ["{}", "[]", '{"p": 2, "q": 2, "last_n": "5"}'])
+    def test_malformed_checkpoint(self, capsys, tmp_path, content):
+        path = tmp_path / "ck.json"
+        path.write_text(content)
+        argv = ["scan", "--p", "2", "--q", "2", "--bound", "100", "--checkpoint", str(path)]
+        assert run(argv) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"pqcat: error: checkpoint {path} is not a scan checkpoint")
+
+    @pytest.mark.parametrize("bits", ["0", "-3", "63"])
+    def test_precision_below_64_refused(self, capsys, bits):
+        argv = ["threshold", "--p", "2", "--q", "2", "--log2-n", "100", "--precision", bits]
+        assert run(argv) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pqcat: error: precision must be >= 64 bits, got {bits}\n"
+
+    @pytest.mark.parametrize("argv", [
         ["digits", "--n", "2**20000", "--p", "2"],
         ["valuation", "--p", "2", "--n", "2**20000"],
     ])

@@ -1,3 +1,4 @@
+import time
 from math import comb, factorial
 
 import pytest
@@ -5,12 +6,21 @@ import pytest
 from pqcat import (
     Partition,
     PrimePower,
+    SizeGuardError,
     catalan_valuation,
     multinomial,
     partitions_of,
     residue_count_sequence,
     residue_set_p2,
 )
+from pqcat.config import RESIDUE_PRIME_LIMIT
+
+PRIMES_TO_43 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
+
+
+def partition_scan(p):
+    # the direct construction: 0, 1 and every multinomial p!/prod c_i! mod p**2
+    return sorted({0, 1} | {multinomial(p, part.parts) % (p * p) for part in partitions_of(p)})
 
 
 class TestPartitions:
@@ -84,6 +94,17 @@ class TestResidueSet:
         with pytest.raises(ValueError):
             residue_set_p2(6)
 
+    @pytest.mark.parametrize("p", PRIMES_TO_43)
+    def test_equals_partition_scan(self, p):
+        assert residue_set_p2(p) == partition_scan(p)
+
+    def test_guard_refuses_before_work(self):
+        started = time.monotonic()
+        for p in (RESIDUE_PRIME_LIMIT + 1, 10**100 + 267):
+            with pytest.raises(SizeGuardError):
+                residue_set_p2(p)
+        assert time.monotonic() - started < 0.1
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
     def test_partition_count_bound(self, p):
         assert len(residue_set_p2(p)) <= len(partitions_of(p)) + 1
@@ -117,3 +138,15 @@ class TestCountSequence:
         assert len(residue_count_sequence(12)) == 12
         with pytest.raises(ValueError):
             residue_count_sequence(0)
+
+    def test_two_hundred_under_a_second(self):
+        started = time.monotonic()
+        counts = residue_count_sequence(200)
+        assert time.monotonic() - started < 1.0
+        assert len(counts) == 200 and counts[198] == 200  # s = 199: 0, 1 and 198 units
+
+    def test_guard(self):
+        # 2999 is the largest prime the limit admits; every unit is reached
+        assert residue_set_p2(2999) == [0, 1] + list(range(2999, 2999**2, 2999))
+        with pytest.raises(SizeGuardError):
+            residue_count_sequence(RESIDUE_PRIME_LIMIT + 1)
