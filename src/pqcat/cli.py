@@ -4,6 +4,10 @@ structured records as JSON lines (default) or CSV.
 Every integer that may exceed the 53-bit exactness range of common JSON
 consumers is rendered as a decimal string.  Exit codes: 0 success,
 1 domain error, 2 resource-guard error, 64 usage error.
+
+The modules behind numpy and mpmath (analytic, catalan, modular) are
+imported by the handlers that use them, so `scan`, `verify` and
+`exceptions` start without either library.
 """
 
 from __future__ import annotations
@@ -16,21 +20,10 @@ import json
 import sys
 from dataclasses import dataclass, is_dataclass
 
-from mpmath import mp, nstr
-
 from . import config
-from .analytic import (
-    InequalityInstance,
-    find_tau0,
-    inequality_sides,
-    specialized_constants,
-    tau1,
-)
-from .catalan import catalan_exact, catalan_residue_mod_pq, catalan_valuation, divides
 from .config import SizeGuardError
 from .digits import PrimePower, binom_valuation, sigma_p, to_base_p
 from .exceptions import count_exceptions_q2, enumerate_exceptions, exception_values
-from .modular import granville_binom_mod_pq
 from .residues import residue_count_sequence, residue_set_p2
 from .squarefree import scan_candidates, verify_divisibility_filter
 
@@ -241,6 +234,8 @@ def _form_payload(form) -> dict:
 
 
 def _num(x) -> str:
+    from mpmath import mp, nstr
+
     return nstr(mp.mpf(x), 17)
 
 
@@ -255,6 +250,8 @@ def _cmd_digits(args) -> list[OutputRecord]:
 
 
 def _cmd_valuation(args) -> list[OutputRecord]:
+    from .catalan import catalan_valuation
+
     inputs = {"p": args.p, "n": args.n}
     if args.m is not None:
         inputs["m"] = args.m
@@ -266,6 +263,8 @@ def _cmd_valuation(args) -> list[OutputRecord]:
 
 
 def _cmd_catalan(args) -> list[OutputRecord]:
+    from .catalan import catalan_exact, catalan_residue_mod_pq, catalan_valuation, divides
+
     if args.s is not None:
         value = catalan_exact(args.s, args.n, limit=args.limit)
         return [OutputRecord("catalan", {"s": args.s, "n": args.n}, value)]
@@ -281,6 +280,8 @@ def _cmd_catalan(args) -> list[OutputRecord]:
 
 
 def _cmd_granville(args) -> list[OutputRecord]:
+    from .modular import granville_binom_mod_pq
+
     g = granville_binom_mod_pq(args.m, args.n, PrimePower(args.p, args.q))
     inputs = {"m": args.m, "n": args.n, "p": args.p, "q": args.q}
     return [OutputRecord("granville", inputs, {"e0": g.e0, "unit_residue": g.unit_residue})]
@@ -340,6 +341,14 @@ def _cmd_scan(args) -> list[OutputRecord]:
 
 
 def _cmd_threshold(args) -> list[OutputRecord]:
+    from .analytic import (
+        InequalityInstance,
+        find_tau0,
+        inequality_sides,
+        specialized_constants,
+        tau1,
+    )
+
     pp = PrimePower(args.p, args.q)
     inst = InequalityInstance(pp, precision=args.precision)
     precision = inst.precision

@@ -24,6 +24,8 @@ DEFAULT_SIEVE_LIMIT = 10**8       # largest admissible prime-sieve target
 DEFAULT_PRECISION = 256
 PRECISION_CAP = 4096
 DEFAULT_EXPONENT_CAP = 1 << 14    # threshold search gives up past 2**cap
+EXCEPTION_MULTISET_LIMIT = 10**6  # most residue-class multisets exception_values lists:
+                                  # (2,11) has 705,420 and takes about 1 s on 2 vCPUs
 RESIDUE_PRIME_LIMIT = 3000        # largest p and s_max for the q = 2 residue sets:
                                   # `residues --sequence 3000` takes about 1.5 s on 2 vCPUs
 

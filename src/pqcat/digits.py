@@ -3,11 +3,15 @@
 Everything here is exact integer arithmetic.  The numbers being expanded
 may be arbitrarily large (structural exception witnesses reach sizes like
 2**1520); the returned digit sums, carry counts and valuations always fit
-comfortably in machine words.  Every expansion and digit sum goes through
-one vectorised primitive, `_digit_array`, and carries are counted from
-digit sums, so none of them walks the digits in a Python loop.  (Legendre's
-floor sum keeps its own loop: it is the independent formula the digit-sum
-form is checked against.)
+comfortably in machine words.  Every expansion, and every digit sum for
+p > 2, goes through one vectorised primitive, `_digit_array` (p = 2 digit
+sums are int.bit_count), and carries are counted from digit sums, so none
+of them walks the digits in a Python loop.  (Legendre's floor sum keeps
+its own loop: it is the independent formula the digit-sum form is checked
+against.)
+
+numpy is imported on the first call of that primitive, not with this
+module, so primality, PrimePower and p = 2 digit sums run without it.
 """
 
 from __future__ import annotations
@@ -16,8 +20,10 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PROVEN_BELOW = 3317044064679887385961981
@@ -130,6 +136,8 @@ def _chunk_powers(p: int) -> np.ndarray:
     """[1, p, ..., p**(k-1)] for the largest k >= 1 with p**k < 2**62; a
     prime above 2**62 (k = 1) gets an object array, so its digits stay
     Python ints."""
+    import numpy as np
+
     powers = [1]
     while powers[-1] * p * p < 1 << 62:
         powers.append(powers[-1] * p)
@@ -148,6 +156,8 @@ def _digit_array(values: Sequence[int], p: int, width: int | None = None) -> np.
     big-integer divmod per base-p**k limb (p**k < 2**62) is followed by one
     vectorised split of all limbs into digits.
     """
+    import numpy as np
+
     if p == 2:
         nbits = max(x.bit_length() for x in values) if width is None else width
         nbytes = (nbits + 7) // 8

@@ -34,6 +34,8 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterator, Union
 
+from . import config
+from .config import SizeGuardError
 from .digits import PrimePower, _require_prime, to_base_p
 from .residues import multinomial
 
@@ -116,9 +118,17 @@ def _lift_class(p: int, q: int, j: int, slots: int, budget: int) -> list[int]:
 def exception_values(pp: PrimePower, bound: int) -> list[int]:
     """All n <= bound with p**q not dividing F(p**q, n), ascending.
 
-    Integers only: no structural record is built.
+    Integers only: no structural record is built.  The class multisets
+    are listed whatever the bound, so a modulus with more than
+    EXCEPTION_MULTISET_LIMIT of them is refused before any work.
     """
     p, q = pp.p, pp.q
+    multisets = sum(comb(m * (p - 1) + q, q - 1) for m in range(1, q))
+    if multisets > config.EXCEPTION_MULTISET_LIMIT:
+        raise SizeGuardError(
+            f"{pp} has {multisets} residue-class multisets to list, above the guard "
+            f"{config.EXCEPTION_MULTISET_LIMIT}"
+        )
     if bound < 1:
         return []
     mod = pp.modulus - 1

@@ -7,11 +7,13 @@ m, so only primes r <= isqrt(m) can contribute; the test is exact and
 costs O(pi(sqrt(m)) * log m) with no big-integer arithmetic at all.
 
 The primes come from one shared sieve held as an immutable snapshot
-(covered limit, every prime <= it).  Growth builds a new list and
-publishes it with a single assignment, so threads share the cache without
-a lock and no reader sees a half-grown list.  Threads that grow it at the
-same time may each sieve; the last assignment wins, and every snapshot is
-complete.
+(covered limit, every prime <= it).  Growth runs an odd-only sieve of
+Eratosthenes on a bytearray, builds a new list and publishes it with a
+single assignment, so threads share the cache without a lock and no reader
+sees a half-grown list.  Threads that grow it at the same time may each
+sieve; the last assignment wins, and every snapshot is complete.  The
+squarefree test walks the snapshot's list in place and stops at the first
+prime above isqrt(m); only primes_upto hands out a copy.
 
 For q >= 2 every non-exceptional n has p**q | C(p**q n + 1, n), hence the
 binomial is divisible by p**2 and cannot be squarefree: scanning only the
@@ -25,9 +27,8 @@ import os
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import compress
 from math import isqrt
-
-import numpy as np
 
 from . import config
 from .config import SizeGuardError
@@ -44,29 +45,36 @@ def _simple_sieve(limit: int) -> list[int]:
     if limit == 2:
         return [2]
     half = (limit + 1) // 2  # flags for 1, 3, 5, ..., the odds <= limit
-    flags = np.ones(half, dtype=bool)
-    flags[0] = False
+    flags = bytearray(b"\x01") * half
+    flags[0] = 0
     for i in range(1, (isqrt(limit) + 1) // 2 + 1):
         if flags[i]:
             p = 2 * i + 1
-            flags[p * p // 2 :: p] = False
-    return [2] + (2 * np.nonzero(flags)[0] + 1).tolist()
+            start = p * p // 2
+            flags[start::p] = bytes(len(range(start, half, p)))
+    return [2, *compress(range(1, limit + 1, 2), flags)]
 
 
-def primes_upto(limit: int) -> list[int]:
-    """Ascending primes <= limit from the shared snapshot, grown by doubling."""
+def _primes_covering(limit: int) -> list[int]:
+    """The snapshot's ascending primes, grown by doubling until they cover
+    every prime <= limit; the list may run past limit and is shared, so
+    callers only read it."""
     global _sieved
     if limit > config.DEFAULT_SIEVE_LIMIT:
         raise SizeGuardError(
             f"sieve target {limit} exceeds the guard {config.DEFAULT_SIEVE_LIMIT}"
         )
-    if limit < 2:
-        return []
     covered, primes = _sieved
     if limit > covered:
         covered = min(max(limit, 2 * covered), config.DEFAULT_SIEVE_LIMIT)
         primes = _simple_sieve(covered)
         _sieved = (covered, primes)
+    return primes
+
+
+def primes_upto(limit: int) -> list[int]:
+    """Ascending primes <= limit, copied from the shared snapshot."""
+    primes = _primes_covering(limit)
     return primes[: bisect_right(primes, limit)]
 
 
@@ -95,8 +103,11 @@ def is_squarefree_binom(m: int, n: int) -> bool:
     """
     if n < 0 or n > m:
         raise ValueError(f"need 0 <= n <= m, got m={m} n={n}")
+    root = isqrt(m)
     r_part = m - n
-    for p in primes_upto(isqrt(m)):
+    for p in _primes_covering(root):
+        if p > root:
+            break
         if _carries_at_least_two(n, r_part, p):
             return False
     return True
@@ -128,13 +139,24 @@ def _write_checkpoint(path: str, pp: PrimePower, bound: int, last_n: int, hits: 
     os.replace(tmp, path)
 
 
+def _decimal(text: object) -> int:
+    """The value of a string of ASCII digits; anything else is refused."""
+    if isinstance(text, str) and text.isascii() and text.isdigit():
+        return int(text)
+    raise ValueError(f"expected a string of decimal digits, got {text!r}")
+
+
 def _read_checkpoint(path: str, pp: PrimePower) -> tuple[int, list[int]]:
     with open(path, encoding="ascii") as fh:
         text = fh.read()
     try:
         record = json.loads(text)
         p, q = record["p"], record["q"]
-        last_n, hits = int(record["last_n"]), [int(h) for h in record["hits"]]
+        if type(p) is not int or type(q) is not int:  # bools are ints too
+            raise TypeError(f"p and q must be integers, got {p!r} and {q!r}")
+        if not isinstance(record["hits"], list):
+            raise TypeError(f"hits must be a list, got {record['hits']!r}")
+        last_n, hits = _decimal(record["last_n"]), [_decimal(h) for h in record["hits"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {path} is not a scan checkpoint: {exc!r}") from exc
     if p != pp.p or q != pp.q:
@@ -175,7 +197,7 @@ def scan_candidates(
     todo = candidates[bisect_right(candidates, resume_from):]
     resume_from = min(resume_from, bound)  # reported checkpoint stays <= bound
     if todo:  # one sieve for the largest m, so no candidate grows the cache
-        primes_upto(isqrt(pp.modulus * todo[-1] + 1))
+        _primes_covering(isqrt(pp.modulus * todo[-1] + 1))
 
     last = resume_from
     for i, n in enumerate(todo):

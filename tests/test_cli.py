@@ -225,7 +225,14 @@ class TestExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("pqcat: resource guard: ")
 
-    @pytest.mark.parametrize("content", ["{}", "[]", '{"p": 2, "q": 2, "last_n": "5"}'])
+    @pytest.mark.parametrize("content", [
+        "{}",
+        "[]",
+        '{"p": 2, "q": 2, "last_n": "5"}',
+        '{"p": 2, "q": 2, "last_n": 99.9, "hits": [2.5, true]}',
+        '{"p": true, "q": 2, "last_n": "5", "hits": []}',
+        '{"p": 2, "q": 2, "last_n": "-5", "hits": "45"}',
+    ])
     def test_malformed_checkpoint(self, capsys, tmp_path, content):
         path = tmp_path / "ck.json"
         path.write_text(content)
@@ -236,6 +243,19 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"pqcat: error: checkpoint {path} is not a scan checkpoint")
+
+    @pytest.mark.parametrize("subcommand", ["exceptions", "scan"])
+    def test_large_q_enumeration_refused_at_once(self, subcommand):
+        # 40,116,585 residue-class multisets: listing them used to run for minutes
+        argv = [subcommand, "--p", "2", "--q", "14", "--bound", "10"]
+        started = time.monotonic()
+        proc = subprocess.run([sys.executable, "-m", "pqcat", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert time.monotonic() - started < 2.0
+        assert proc.returncode == EXIT_RESOURCE
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("pqcat: resource guard: ")
 
     @pytest.mark.parametrize("bits", ["0", "-3", "63"])
     def test_precision_below_64_refused(self, capsys, bits):
@@ -300,7 +320,39 @@ class TestEmit:
         assert emit([rec]) == emit([OutputRecord("x", {"a": 2, "b": 1}, {"y": 2, "z": 1})])
 
 
+_COLD_START = """
+import contextlib, io, json, os, sys, tempfile
+from pqcat.cli import run
+
+def loaded():
+    return [name for name in ("numpy", "mpmath") if name in sys.modules]
+
+codes = []
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["scan", "--p", "2", "--q", "2", "--bound", "10000"],
+        ["scan", "--p", "3", "--q", "2", "--bound", "500", "--exhaustive",
+         "--checkpoint", os.path.join(tmp, "ck.json")],
+        ["verify", "--p", "2", "--q", "2", "--bound", "500"],
+        ["exceptions", "--p", "3", "--q", "3", "--bound", "10**6"],
+    ):
+        codes.append(run(argv))
+    lean = loaded()
+    codes.append(run(["threshold", "--p", "2", "--q", "2", "--log2-n", "100"]))
+print(json.dumps({"codes": codes, "lean": lean, "after_threshold": loaded()}))
+"""
+
+
 class TestSubprocess:
+    def test_cold_start_without_numpy_or_mpmath(self):
+        proc = subprocess.run([sys.executable, "-c", _COLD_START],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["codes"] == [EXIT_OK] * 5
+        assert report["lean"] == []
+        assert "mpmath" in report["after_threshold"]
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "pqcat", "residues", "--p", "3"],

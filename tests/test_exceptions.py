@@ -6,6 +6,7 @@ from pqcat import (
     OddPowerSum,
     PrimePower,
     PurePower,
+    SizeGuardError,
     catalan_residue_mod_pq,
     catalan_valuation,
     count_exceptions_q2,
@@ -132,7 +133,8 @@ def digit_sum_sweep(p: int, q: int, bound: int) -> list[int]:
 class TestExceptionValues:
     @pytest.mark.parametrize(
         "p,q",
-        [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (3, 3), (5, 3), (3, 4), (2, 3), (2, 4), (2, 5)],
+        [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (3, 3), (5, 3), (3, 4), (2, 3), (2, 4), (2, 5),
+         (2, 11)],
     )
     def test_digit_sum_sweep_2e4(self, p, q):
         got = exception_values(PrimePower(p, q), 2 * 10**4)
@@ -150,6 +152,15 @@ class TestExceptionValues:
     def test_nonpositive_bound_is_empty(self, bound):
         for p, q in ((2, 1), (2, 2), (3, 3)):
             assert exception_values(PrimePower(p, q), bound) == []
+
+    @pytest.mark.parametrize(
+        "p,q", [(2, 12), (2, 13), (2, 14), (2, 15), (2, 16), (3, 9), (3, 10), (5, 7)]
+    )
+    def test_moduli_with_too_many_class_multisets_refused(self, p, q):
+        # over 10**6 class multisets whatever the bound, so refused before any work
+        for bound in (0, 10):
+            with pytest.raises(SizeGuardError):
+                exception_values(PrimePower(p, q), bound)
 
 
 

@@ -44,6 +44,7 @@ class TestPrimes:
     def test_counts(self):
         assert len(primes_upto(10**4)) == 1229
         assert len(primes_upto(10**6)) == 78498
+        assert len(primes_upto(10**7)) == 664579
 
     def test_growth_order(self):
         # must agree across arbitrary cache growth order
