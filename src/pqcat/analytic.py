@@ -8,7 +8,12 @@ whose validity forces C(p**q n + 1, n) to be non-squarefree (hypothesis
 p**q <= 99999).  All evaluation uses interval arithmetic with outward
 rounding, so every reported comparison is decisive at the working
 precision; an indeterminate comparison escalates the precision and, past
-the cap, raises PrecisionError rather than guessing.
+the cap, raises PrecisionError rather than guessing; a starting precision
+outside 64..PRECISION_CAP bits is refused up front.
+
+find_tau0 brackets the crossing between consecutive powers of two and
+proves, by a monotonicity lemma checked once at the crossing, that the
+inequality holds at every larger n.
 
 Logarithms are natural.  A base-10 mode exists for cross-checking the
 specialized constant sets of the (2,2) and (3,2) cases, whose additive
@@ -67,6 +72,10 @@ class InequalityInstance:
         bits = config.default_precision() if self.precision is None else self.precision
         if bits < 64:
             raise ValueError(f"precision must be >= 64 bits, got {bits}")
+        if bits > config.PRECISION_CAP:
+            raise PrecisionError(
+                f"precision must be <= {config.PRECISION_CAP} bits, got {bits}"
+            )
         object.__setattr__(self, "precision", bits)
 
 
@@ -98,6 +107,28 @@ def _require_positive(n: int) -> None:
         raise ValueError(f"n must be >= 1, got {n}")
 
 
+def _specialized(pp: PrimePower) -> tuple[Fraction, Fraction, int]:
+    key = (pp.p, pp.q)
+    if key not in _SPECIALIZED:
+        raise ValueError(f"no specialized constant set for {pp}")
+    return _SPECIALIZED[key]
+
+
+def _log(c: InequalityConstants, x):
+    y = iv.log(x)
+    return y if c.natural_log else y / iv.log(iv.mpf(10))
+
+
+def _main_log_arg(inst: InequalityInstance, n: int, form: str):
+    """The argument of the main term's logarithm: log_scale*((p**q - 1)n + 1)
+    in the general form, scale*n + 1 in the specialized one."""
+    if form == "general":
+        return iv.mpf(inst.constants.log_scale) * iv.mpf((inst.pp.modulus - 1) * n + 1)
+    if form == "specialized":
+        return iv.mpf(_specialized(inst.pp)[2]) * iv.mpf(n) + 1
+    raise ValueError(f"unknown form {form!r}")
+
+
 def _sides_once(inst: InequalityInstance, n: int, form: str):
     c = inst.constants
     pq = inst.pp.modulus
@@ -107,34 +138,20 @@ def _sides_once(inst: InequalityInstance, n: int, form: str):
     small = iv.mpf((pq - 1) * n + 1)
     lhs = (1 - a) * iv.sqrt(big) - (1 + a) * iv.sqrt(small)
 
-    ln10 = iv.log(iv.mpf(10))
-
-    def _log(x):
-        y = iv.log(x)
-        return y if c.natural_log else y / ln10
-
     n_iv = iv.mpf(n)
+    log_main = _log(c, _main_log_arg(inst, n, form)) ** _frac(c.exp_log)
     if form == "general":
         main = (
             _frac(c.c_main)
             * _pow_frac(iv.mpf(inst.pp.p), c.exp_n * q)
             * _pow_frac(n_iv, c.exp_n)
-            * _log(iv.mpf(c.log_scale) * small) ** _frac(c.exp_log)
+            * log_main
         )
-        tail = _frac(c.c_tail) * (3 * _log(n_iv) + 2 * q * _log(iv.mpf(inst.pp.p)))
-    elif form == "specialized":
-        key = (inst.pp.p, inst.pp.q)
-        if key not in _SPECIALIZED:
-            raise ValueError(f"no specialized constant set for {inst.pp}")
-        c_main, c_tail, scale = _SPECIALIZED[key]
-        main = (
-            _frac(c_main)
-            * _pow_frac(n_iv, c.exp_n)
-            * _log(iv.mpf(scale) * n_iv + 1) ** _frac(c.exp_log)
-        )
-        tail = 3 * _frac(c.c_tail) * _log(n_iv) + _frac(c_tail)
+        tail = _frac(c.c_tail) * (3 * _log(c, n_iv) + 2 * q * _log(c, iv.mpf(inst.pp.p)))
     else:
-        raise ValueError(f"unknown form {form!r}")
+        c_main, c_tail, _ = _specialized(inst.pp)
+        main = _frac(c_main) * _pow_frac(n_iv, c.exp_n) * log_main
+        tail = 3 * _frac(c.c_tail) * _log(c, n_iv) + _frac(c_tail)
     return lhs, main + tail
 
 
@@ -176,29 +193,35 @@ def inequality_holds(inst: InequalityInstance, n: int, *, form: str = "general")
     return _sides_interval(inst, n, form)[2]
 
 
-def _margin(inst: InequalityInstance, n: int, form: str):
-    lhs, rhs, _ = _sides_interval(inst, n, form)
-    with _workprec(inst.precision):
-        return lhs - rhs
-
-
-_GRID_STEP = 64  # exponent spacing of find_tau0's dominance check
-_GRID_POINTS = 8
-
-
 def find_tau0(
     inst: InequalityInstance,
     *,
     form: str = "general",
     max_exponent: int | None = None,
 ) -> int:
-    """Smallest exponent e with the inequality holding at n = 2**e but not
-    at 2**(e - 1); the bracket [2**(e-1), 2**e] contains the sign change.
+    """The exponent e such that the inequality fails at n = 2**(e - 1) and
+    holds at every n >= n0 = 2**e.
 
-    Found by doubling then bisection, and checked on a log-spaced grid of
-    larger exponents whose margins must all hold and increase -- a witness
-    of eventual dominance, not a proof of monotonicity.  Raises
-    ThresholdSearchError when no holding exponent exists below the cap.
+    Doubling then bisection finds the crossing; holding above it is then
+    proved, not sampled.  Write rhs = C n**exp_n L**exp_log + tail, where L
+    is the main term's logarithm (natural or decimal) of k n + c, k, c > 0.
+    When n0 >= 8, alpha >= 0, C > 0, c_tail >= 0, exp_log >= 0,
+    exp_n < 1/2 and L(n0) > exp_log / (1/2 - exp_n) (132 for the general
+    constants), rhs/lhs strictly decreases on [n0, oo):
+
+      * lhs = sqrt(n) B(n), B(n) = (1-a) sqrt(p**q + 1/n)
+        - (1+a) sqrt(p**q - 1 + 1/n), and B increases with n as a >= 0;
+      * dL/d(log n) < 1, so the logarithmic derivative of
+        n**(exp_n - 1/2) L**exp_log is below exp_n - 1/2 + exp_log / L,
+        which is negative since L increases with n and exceeds the bound
+        at n0; with C > 0 and B increasing, main/lhs strictly decreases;
+      * the tail is A log n + D with A, D >= 0, and (A log n + D) / sqrt(n)
+        does not increase for n > e**2, so tail/lhs does not for n >= 8.
+
+    So rhs/lhs < 1 at n0 gives it at every larger n.  The conditions on
+    the constants are checked exactly, and L(n0) once in interval arithmetic
+    at the instance's precision.  Raises ThresholdSearchError when one
+    fails, or when no holding exponent exists below the cap.
     """
     cap = max_exponent or config.DEFAULT_EXPONENT_CAP
 
@@ -220,17 +243,19 @@ def find_tau0(
         else:
             lo = mid
 
-    margins = [_margin(inst, 1 << (hi + _GRID_STEP * k), form) for k in range(_GRID_POINTS)]
-    for k, m in enumerate(margins):
-        if not m > 0:
-            raise ThresholdSearchError(
-                f"inequality fails again at 2**{hi + _GRID_STEP * k} after the bracket"
-            )
-        if k and not (m > margins[k - 1]):
-            raise ThresholdSearchError(
-                f"margin not increasing at 2**{hi + _GRID_STEP * k}"
-            )
-    return hi
+    c = inst.constants
+    c_main = c.c_main if form == "general" else _specialized(inst.pp)[0]
+    half = Fraction(1, 2)
+    if (hi >= 3 and c.alpha >= 0 and c_main > 0 and c.c_tail >= 0
+            and c.exp_log >= 0 and c.exp_n < half):
+        bound = c.exp_log / (half - c.exp_n)
+        with _workprec(inst.precision):
+            if _log(c, _main_log_arg(inst, 1 << hi, form)) > _frac(bound):
+                return hi
+    raise ThresholdSearchError(
+        f"cannot prove that the inequality holds above 2**{hi} for {inst.pp}: "
+        f"n0 < 8, or the constants or L(n0) fall outside the monotonicity lemma"
+    )
 
 
 def tau1(pp: PrimePower, tau0: int) -> int:
@@ -269,11 +294,7 @@ def specialized_constants(pp: PrimePower) -> tuple[Fraction, Fraction]:
       * both tail constants equal (11/8) * 2q * log10(p) exactly, i.e. were
         produced with decimal instead of natural logarithms.
     """
-    key = (pp.p, pp.q)
-    if key not in _SPECIALIZED:
-        raise ValueError(f"no specialized constant set for {pp}")
-    c_main, c_tail, _ = _SPECIALIZED[key]
-    return c_main, c_tail
+    return _specialized(pp)[:2]
 
 
 def sqrt_gap_lower_bound(inst: InequalityInstance, n: int):

@@ -90,7 +90,7 @@ def emit(records: list[OutputRecord], format: str = "jsonl") -> str:
 
 
 def _emit(records: list[OutputRecord], format: str) -> str:
-    if format in ("jsonl", "json-lines"):
+    if format == "jsonl":
         lines = []
         for r in records:
             payload = {
@@ -144,41 +144,49 @@ def _big(text: str) -> int:
     return value
 
 
+def _log2_n(text: str) -> int:
+    # the exponent E of n = 2**E, refused where _big refuses 2**E
+    e = int(text)
+    _big(f"2**{e}")
+    return e
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pqcat")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    def add(name: str, help: str):
+    def add(name: str, handler, help: str):
         sub_parser = sub.add_parser(name, help=help, parents=[common])
-        sub_parser.set_defaults(parser=sub_parser)  # reports its own leftovers
+        # the parser reports its own leftovers
+        sub_parser.set_defaults(parser=sub_parser, handler=handler)
         return sub_parser
 
-    p_digits = add("digits", help="base-p expansion and digit sum")
+    p_digits = add("digits", _cmd_digits, help="base-p expansion and digit sum")
     p_digits.add_argument("--n", type=_big, required=True)
     p_digits.add_argument("--p", type=int, required=True)
 
-    p_val = add("valuation", help="p-adic valuation of C(m,n) or F(p^q,n)")
+    p_val = add("valuation", _cmd_valuation, help="p-adic valuation of C(m,n) or F(p^q,n)")
     p_val.add_argument("--p", type=int, required=True)
     p_val.add_argument("--n", type=_big, required=True)
     p_val.add_argument("--q", type=int, default=1)
     p_val.add_argument("--m", type=_big, help="binomial mode: v_p(C(m, n))")
 
-    p_cat = add("catalan", help="exact F(s,n), or its behaviour mod p^q")
+    p_cat = add("catalan", _cmd_catalan, help="exact F(s,n), or its behaviour mod p^q")
     p_cat.add_argument("--s", type=int)
     p_cat.add_argument("--n", type=_big, required=True)
     p_cat.add_argument("--p", type=int)
     p_cat.add_argument("--q", type=int)
     p_cat.add_argument("--limit", type=int, help="override the exact-size guard")
 
-    p_gran = add("granville", help="C(m,n) mod p^q as valuation + unit")
+    p_gran = add("granville", _cmd_granville, help="C(m,n) mod p^q as valuation + unit")
     p_gran.add_argument("--m", type=_big, required=True)
     p_gran.add_argument("--n", type=_big, required=True)
     p_gran.add_argument("--p", type=int, required=True)
     p_gran.add_argument("--q", type=int, required=True)
 
-    p_exc = add("exceptions", help="n with p^q not dividing F(p^q,n)")
+    p_exc = add("exceptions", _cmd_exceptions, help="n with p^q not dividing F(p^q,n)")
     p_exc.add_argument("--p", type=int, required=True)
     p_exc.add_argument("--q", type=int, required=True)
     p_exc.add_argument("--bound", type=_big, required=True)
@@ -186,12 +194,12 @@ def _build_parser() -> _Parser:
     p_exc.add_argument("--count-from", type=int, metavar="CHOICES",
                        help="report the strict-exponent count C(CHOICES, p) instead")
 
-    p_res = add("residues", help="least residues of F(p^2,n) mod p^2")
+    p_res = add("residues", _cmd_residues, help="least residues of F(p^2,n) mod p^2")
     p_res.add_argument("--p", type=int)
     p_res.add_argument("--sequence", type=int, metavar="S_MAX",
                        help="sizes of the residue sets for s = 1..S_MAX")
 
-    p_scan = add("scan", help="squarefree hits of C(p^q n + 1, n)")
+    p_scan = add("scan", _cmd_scan, help="squarefree hits of C(p^q n + 1, n)")
     p_scan.add_argument("--p", type=int, required=True)
     p_scan.add_argument("--q", type=int, required=True)
     p_scan.add_argument("--bound", type=_big, required=True)
@@ -199,10 +207,10 @@ def _build_parser() -> _Parser:
                         help="test every n up to the bound")
     p_scan.add_argument("--checkpoint", metavar="PATH")
 
-    p_thr = add("threshold", help="the non-squarefree inequality")
+    p_thr = add("threshold", _cmd_threshold, help="the non-squarefree inequality")
     p_thr.add_argument("--p", type=int, required=True)
     p_thr.add_argument("--q", type=int, required=True)
-    p_thr.add_argument("--log2-n", type=int, action="append", dest="log2_n",
+    p_thr.add_argument("--log2-n", type=_log2_n, action="append", dest="log2_n",
                        help="evaluate at n = 2**E (repeatable)")
     p_thr.add_argument("--n", type=_big, action="append",
                        help="evaluate at this exact n (repeatable)")
@@ -214,7 +222,7 @@ def _build_parser() -> _Parser:
     p_thr.add_argument("--form", choices=["general", "specialized", "both"],
                        default="general")
 
-    p_ver = add("verify", help="soundness of the candidate filter")
+    p_ver = add("verify", _cmd_verify, help="soundness of the candidate filter")
     p_ver.add_argument("--p", type=int, required=True)
     p_ver.add_argument("--q", type=int, required=True)
     p_ver.add_argument("--bound", type=_big, required=True)
@@ -395,19 +403,6 @@ def _cmd_verify(args) -> list[OutputRecord]:
     return [OutputRecord("verify", inputs, {"sound": sound})]
 
 
-_DISPATCH = {
-    "digits": _cmd_digits,
-    "valuation": _cmd_valuation,
-    "catalan": _cmd_catalan,
-    "granville": _cmd_granville,
-    "exceptions": _cmd_exceptions,
-    "residues": _cmd_residues,
-    "scan": _cmd_scan,
-    "threshold": _cmd_threshold,
-    "verify": _cmd_verify,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, execute, write records to stdout; returns the exit code."""
     parser = _build_parser()
@@ -418,7 +413,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        records = _DISPATCH[args.subcommand](args)
+        records = args.handler(args)
         sys.stdout.write(emit(records, args.format))
         return EXIT_OK
     except SizeGuardError as exc:

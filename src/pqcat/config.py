@@ -1,7 +1,8 @@
 """Resource guards and the one environment-backed default.
 
 PQCAT_PRECISION sets the working precision in bits for the threshold
-inequality (default 256); the --precision flag takes precedence over it.
+inequality (default 256, at least 64 and at most PRECISION_CAP); the
+--precision flag takes precedence over it.
 """
 
 import os
@@ -12,7 +13,8 @@ class SizeGuardError(Exception):
 
 
 class PrecisionError(SizeGuardError):
-    """An interval comparison stayed indeterminate at the precision cap."""
+    """An interval comparison stayed indeterminate at the precision cap, or a
+    starting precision above the cap was requested."""
 
 
 class ThresholdSearchError(SizeGuardError):

@@ -5,6 +5,7 @@ import pytest
 from pqcat import (
     InequalityConstants,
     InequalityInstance,
+    PrecisionError,
     PrimePower,
     ThresholdSearchError,
     find_tau0,
@@ -42,6 +43,11 @@ class TestInstance:
     def test_precision_floor(self):
         with pytest.raises(ValueError):
             InequalityInstance(PrimePower(2, 2), precision=32)
+
+    def test_precision_cap(self):
+        assert InequalityInstance(PrimePower(2, 2), precision=4096).precision == 4096
+        with pytest.raises(PrecisionError):
+            InequalityInstance(PrimePower(2, 2), precision=4097)
 
 
 class TestSides:
@@ -129,6 +135,39 @@ class TestTau0:
         inst = InequalityInstance(PrimePower(2, 2))
         with pytest.raises(ThresholdSearchError):
             find_tau0(inst, max_exponent=64)
+
+    def test_every_modulus_certified(self):
+        primes = [p for p in range(2, 317) if all(p % d for d in range(2, p))]
+        moduli = [(p, q) for p in primes for q in range(2, 17) if p**q <= 99999]
+        assert len(moduli) == 108
+        for p, q in moduli:
+            inst = InequalityInstance(PrimePower(p, q))
+            e = find_tau0(inst)
+            assert not inequality_holds(inst, 2 ** (e - 1)), (p, q)
+
+    @pytest.mark.parametrize("p,q", [(2, 2), (313, 2), (2, 16)])
+    def test_holds_far_above_crossing(self, p, q):
+        inst = InequalityInstance(PrimePower(p, q))
+        e = find_tau0(inst)
+        for k in (1, 2, 3, 7, 64, 100, 511, 1000, 2047, 3000):
+            assert inequality_holds(inst, 2 ** (e + k)), k
+
+    @pytest.mark.parametrize("constants", [
+        # the crossing is at n0 = 2, below the lemma's n0 >= 8
+        InequalityConstants(c_main=Fraction(1, 10**6), c_tail=Fraction(1, 10**6)),
+        # the same, with the main logarithm (7.49) above exp_log / (1/2 - exp_n) = 5.5
+        InequalityConstants(c_main=Fraction(1, 10**6), c_tail=Fraction(1, 10**6),
+                            exp_n=Fraction(0)),
+        # the crossing is at 2**15, where the main logarithm (17.0) is below
+        # exp_log / (1/2 - exp_n) = 264
+        InequalityConstants(c_main=Fraction(1, 10**9), exp_n=Fraction(47, 96)),
+        # crossings at 2**1698, but B(n) or the tail may then grow
+        InequalityConstants(alpha=Fraction(-1, 400000)),
+        InequalityConstants(c_tail=Fraction(-1)),
+    ])
+    def test_dominance_not_provable_refused(self, constants):
+        with pytest.raises(ThresholdSearchError):
+            find_tau0(InequalityInstance(PrimePower(2, 2), constants=constants))
 
 
 class TestTau1:

@@ -265,6 +265,44 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"pqcat: error: precision must be >= 64 bits, got {bits}\n"
 
+    @pytest.mark.parametrize("flags,env", [
+        (["--precision", "1000000"], None),
+        (["--precision", "99999999999"], None),
+        ([], "50000000"),
+    ], ids=["flag-1e6", "flag-1e11", "env-5e7"])
+    def test_precision_above_cap_refused_at_once(self, flags, env):
+        # these used to run for minutes, or end in a MemoryError traceback
+        argv = ["threshold", "--p", "2", "--q", "2", "--log2-n", "10", *flags]
+        environ = {**os.environ, "PQCAT_PRECISION": env} if env else None
+        started = time.monotonic()
+        proc = subprocess.run([sys.executable, "-m", "pqcat", *argv],
+                              capture_output=True, text=True, timeout=60, env=environ)
+        assert time.monotonic() - started < 2.0
+        assert proc.returncode == EXIT_RESOURCE
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("pqcat: resource guard: ")
+
+    @pytest.mark.parametrize("e,message", [
+        ("-5", "2**-5 is not an integer (negative exponent)"),
+        ("1048576", "2**1048576 exceeds 1048576 bits"),
+    ], ids=["negative", "above-2**20-bits"])
+    def test_log2_n_out_of_range_is_usage_error(self, capsys, e, message):
+        assert run(["threshold", "--p", "2", "--q", "2", "--log2-n", e]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: pqcat threshold ")
+        assert captured.err.splitlines()[-1] == (
+            f"pqcat threshold: error: argument --log2-n: {message}"
+        )
+
+    def test_log2_n_range_ends_accepted(self, capsys):
+        argv = ["threshold", "--p", "2", "--q", "2", "--log2-n", "0", "--log2-n", "1048575"]
+        code, recs = run_lines(capsys, argv)
+        assert code == EXIT_OK
+        assert [r["inputs"]["n"] for r in recs] == ["2**0", "2**1048575"]
+        assert recs[1]["result"]["holds"] is True
+
     @pytest.mark.parametrize("argv", [
         ["digits", "--n", "2**20000", "--p", "2"],
         ["valuation", "--p", "2", "--n", "2**20000"],
@@ -294,8 +332,9 @@ class TestEmit:
         assert emit([], format="csv") == "command,inputs,result,provenance\n"
 
     def test_unsupported_format(self):
-        with pytest.raises(ValueError):
-            emit([], format="xml")
+        for format in ("xml", "json-lines"):
+            with pytest.raises(ValueError):
+                emit([], format=format)
 
     def test_json_round_trip(self):
         rec = OutputRecord("demo", {"p": 2, "huge": 2**90}, {"values": [1, 2**64]}, "why")
