@@ -221,9 +221,13 @@ def find_tau0(
     So rhs/lhs < 1 at n0 gives it at every larger n.  The conditions on
     the constants are checked exactly, and L(n0) once in interval arithmetic
     at the instance's precision.  Raises ThresholdSearchError when one
-    fails, or when no holding exponent exists below the cap.
+    fails, or when no holding exponent exists below the cap (max_exponent,
+    by default config.DEFAULT_EXPONENT_CAP); a cap below 1 raises
+    ValueError before any evaluation.
     """
-    cap = max_exponent or config.DEFAULT_EXPONENT_CAP
+    cap = config.DEFAULT_EXPONENT_CAP if max_exponent is None else max_exponent
+    if cap < 1:
+        raise ValueError(f"max_exponent must be >= 1, got {cap}")
 
     def ok(e: int) -> bool:
         return inequality_holds(inst, 1 << e, form=form)

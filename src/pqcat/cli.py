@@ -83,13 +83,9 @@ def _unlimited_int_str():
         sys.set_int_max_str_digits(saved)
 
 
+@_unlimited_int_str()
 def emit(records: list[OutputRecord], format: str = "jsonl") -> str:
     """Serialize records deterministically; one JSON line or CSV row each."""
-    with _unlimited_int_str():
-        return _emit(records, format)
-
-
-def _emit(records: list[OutputRecord], format: str) -> str:
     if format == "jsonl":
         lines = []
         for r in records:
@@ -230,17 +226,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _form_payload(form) -> dict:
-    payload = {"kind": form.kind}
-    if form.kind == "pure_power":
-        payload["t"] = form.t
-    elif form.kind == "odd_power_sum":
-        payload["terms"] = [list(t) for t in form.terms]
-    else:
-        payload["exponents"] = list(form.exponents)
-    return payload
-
-
 def _num(x) -> str:
     from mpmath import mp, nstr
 
@@ -303,10 +288,8 @@ def _cmd_exceptions(args) -> list[OutputRecord]:
         return [OutputRecord("exceptions", inputs, {"count": count})]
     pp = PrimePower(args.p, args.q)
     if args.forms:
-        result = [
-            {"value": e.value, "forms": [_form_payload(e.form)]}
-            for e in enumerate_exceptions(pp, args.bound)
-        ]
+        result = [{"value": e.value, "forms": [{"kind": e.kind, **vars(e.form)}]}
+                  for e in enumerate_exceptions(pp, args.bound)]
     else:
         result = exception_values(pp, args.bound)
     prov = "n <= bound with p^q not dividing C(p^q n, n)/((p^q-1)n+1), by structure"

@@ -26,21 +26,15 @@ DEFAULT_SIEVE_LIMIT = 10**8       # largest admissible prime-sieve target
 DEFAULT_PRECISION = 256
 PRECISION_CAP = 4096
 DEFAULT_EXPONENT_CAP = 1 << 14    # threshold search gives up past 2**cap
-EXCEPTION_MULTISET_LIMIT = 10**6  # most residue-class multisets exception_values lists:
-                                  # (2,11) has 705,420 and takes about 1 s on 2 vCPUs
+EXCEPTION_OUTPUT_BYTES = 2**30    # most bytes exception_values may build: its bound on the
+                                  # number of values times about 150 + 0.75 * bits each
 RESIDUE_PRIME_LIMIT = 3000        # largest p and s_max for the q = 2 residue sets:
                                   # `residues --sequence 3000` takes about 1.5 s on 2 vCPUs
 
 
-def env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
-
-
 def default_precision() -> int:
-    return env_int("PQCAT_PRECISION", DEFAULT_PRECISION)
+    raw = os.environ.get("PQCAT_PRECISION", "")
+    try:
+        return int(raw) if raw else DEFAULT_PRECISION
+    except ValueError as exc:
+        raise ValueError(f"PQCAT_PRECISION must be an integer, got {raw!r}") from exc

@@ -4,14 +4,21 @@ Fuss-Catalan number F(p**q, n).
 Write X = (p**q - 1) n + 1.  Since v_p(F(p**q, n)) = (sigma_p(X) - 1)/(p - 1),
 the number n is exceptional exactly when sigma_p(X) <= (p - 1)(q - 1) + 1.
 X == 1 (mod p**q - 1) and sigma_p(X) == X (mod p - 1) force the digit sum
-to be l = 1 or l = m (p - 1) + 1 with 1 <= m <= q - 1, so the enumeration
-walks, per admissible l:
+to be l = m (p - 1) + 1 with 0 <= m < q, so the enumeration walks:
 
-  * residue classes first: multisets (j_1 <= ... <= j_l) over {0, ..., q-1}
-    with sum_i p**j_i == 1 (mod p**q - 1) -- a finite, cheap filter, since
-    p**(q t + j) == p**j (mod p**q - 1);
+  * class vectors first: the counts (c_0, ..., c_{q-1}) of the digits of X
+    in the exponent classes alpha == j (mod q), with digit sum l and
+    sum_j c_j p**j == 1 (mod p**q - 1) -- a finite filter, since
+    p**(q t + j) == p**j (mod p**q - 1); only admissible vectors are visited;
   * then exponent lifts alpha = q t + j per class, each alpha repeated at
     most p - 1 times so the digits of X stay below p.
+
+The lifts are the output, so they are guarded instead of the vectors: before
+any lift, the number of values up to the bound is bounded by the sum over
+vectors of the product over classes of the ways to write c_j as k_j base-p
+digits, k_j being the class's positions below the bound.  A bound whose
+values would take more than config.EXCEPTION_OUTPUT_BYTES is refused with
+SizeGuardError.
 
 The argument uses only base-p digit sums, so it holds for every prime p,
 p = 2 included.  Digit expansions are unique, so each exceptional n is
@@ -19,7 +26,8 @@ produced exactly once, as a plain integer (exception_values).  Its one
 structural description is read back off the base-p digits of X only when
 asked for (enumerate_exceptions):
 
-  * l = 1 is the pure-power family n = (p**(t q) - 1)/(p**q - 1);
+  * l = 1 is the vector (1, 0, ..., 0), the pure-power family
+    n = (p**(t q) - 1)/(p**q - 1) (t = 0 lifts to n = 0, which is dropped);
   * for q = 2 the only other family has all exponents odd, with
     multiplicities forming a composition (c_1, ..., c_s) of p;
   * for q >= 3 the description is the sorted exponent multiset itself.
@@ -28,10 +36,9 @@ asked for (enumerate_exceptions):
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from math import comb
+from itertools import accumulate
+from math import comb, log2, prod
 from typing import Iterator, Union
 
 from . import config
@@ -88,67 +95,111 @@ class ExceptionForm:
         return self.form.kind
 
 
-def _residue_class_multisets(p: int, q: int, l: int) -> Iterator[tuple[int, ...]]:
-    mod = p**q - 1
-    for combo in combinations_with_replacement(range(q), l):
-        if sum(p**j for j in combo) % mod == 1 % mod:
-            yield combo
+def _placements(k: int, c: int, p: int) -> int:
+    """Ways to write c as k base-p digits, by inclusion-exclusion on the
+    digits above p - 1."""
+    return sum((-1) ** i * comb(k, i) * comb(c - i * p + k - 1, k - 1)
+               for i in range(min(k, c // p) + 1))
 
 
-def _lift_class(p: int, q: int, j: int, slots: int, budget: int) -> list[int]:
-    """Sums of `slots` powers p**(q t + j), t >= 0, each power used at most
-    p - 1 times, with total <= budget."""
-    step = p**q
+def _class_vectors(p: int, q: int, places: list[int]) -> Iterator[tuple[int, ...]]:
+    """Every class vector (c_0, ..., c_{q-1}) with c_j <= (p - 1) places[j],
+    digit sum m (p - 1) + 1 for some m < q and sum_j c_j p**j == 1
+    (mod p**q - 1).
+
+    These are c_j = [j = 0] - u_j + p u_{j+1} (u_q = u_0) over u >= 0 with
+    u_0 + ... + u_{q-1} = m: from the single unit 1 = p**0, u_j units of
+    class j are each broken into p units of class j - 1 (class 0 into class
+    q - 1, since p**q == 1).  Every u_j is at most max(places) and q - 1.
+    For each u_0, best[j][u] is the least u_j + ... + u_{q-1} that closes
+    the cycle from u_j = u, so the walk below only enters branches that
+    yield a vector.
+    """
+    caps = [(p - 1) * k for k in places]
+    span = range(min(max(places), q - 1) + 1)
+    for u0 in span:
+        best = [None] * q + [[0 if u == u0 else q for u in span]]  # q: no way to close
+        for j in range(q - 1, 0, -1):
+            best[j] = [u + min([b for v, b in enumerate(best[j + 1])
+                                if 0 <= p * v - u <= caps[j]], default=q) for u in span]
+        counts = [0] * q
+        stack = [(0, 0, u0, u0)]  # (class j, c_{j-1}, u_j, u_0 + ... + u_j)
+        while stack:
+            j, c, u, used = stack.pop()
+            counts[j - 1] = c  # at j = 0 a placeholder, rewritten at j = q
+            if j == q:
+                yield tuple(counts)
+                continue
+            for v, b in enumerate(best[j + 1]):
+                c = (j == 0) - u + p * v
+                if 0 <= c <= caps[j] and used + b < q:
+                    stack.append((j + 1, c, v, used + v))
+
+
+def _lift_class(p: int, q: int, j: int, slots: int, budget: int, places: int) -> list[int]:
+    """Sums of `slots` powers p**(q t + j), 0 <= t < places, each power used
+    at most p - 1 times, with total <= budget."""
+    step, top = p**q, p - 1
     sums: list[int] = []
 
-    def rec(base: int, slots: int, acc: int) -> None:
-        if slots == 0:
-            sums.append(acc)
-            return
-        # every remaining power is at least base
+    def rec(base: int, left: int, slots: int, acc: int) -> None:
+        most = min(slots, top)
+        # every remaining power is at least base, and the `left` positions
+        # from base up hold at most p - 1 copies each
         while acc + base * slots <= budget:
-            for k in range(1, min(slots, p - 1) + 1):
-                rec(base * step, slots - k, acc + base * k)
+            left -= 1
+            fewest = slots - top * left  # the copies the positions above base cannot hold
+            if fewest > top:
+                break
+            for k in range(fewest if fewest > 1 else 1, most + 1):
+                if k == slots:
+                    sums.append(acc + base * k)
+                else:
+                    rec(base * step, left, slots - k, acc + base * k)
             base *= step
 
-    rec(p**j, slots, 0)
+    rec(p**j, places, slots, 0)
     return sums
 
 
 def exception_values(pp: PrimePower, bound: int) -> list[int]:
     """All n <= bound with p**q not dividing F(p**q, n), ascending.
 
-    Integers only: no structural record is built.  The class multisets
-    are listed whatever the bound, so a modulus with more than
-    EXCEPTION_MULTISET_LIMIT of them is refused before any work.
+    Integers only: no structural record is built.  The bound on the
+    number of values (module docstring), plus the steps of the class table,
+    is checked against config.EXCEPTION_OUTPUT_BYTES before any lift; above
+    it the call raises SizeGuardError.
     """
-    p, q = pp.p, pp.q
-    multisets = sum(comb(m * (p - 1) + q, q - 1) for m in range(1, q))
-    if multisets > config.EXCEPTION_MULTISET_LIMIT:
-        raise SizeGuardError(
-            f"{pp} has {multisets} residue-class multisets to list, above the guard "
-            f"{config.EXCEPTION_MULTISET_LIMIT}"
-        )
     if bound < 1:
         return []
+    p, q = pp.p, pp.q
     mod = pp.modulus - 1
     budget = mod * bound + 1  # X = mod * n + 1 <= budget
+    width = int((budget.bit_length() - 1) / log2(p))  # at most the digit count of budget
+    while p**width <= budget:
+        width += 1
+    places = [len(range(j, width, q)) for j in range(q)]  # class positions below the budget
+    # bytes per value: the peak of `pqcat exceptions` measured 110-1300 B
+    # from 43- to 1520-bit X, decimal strings and JSON text included
+    room = config.EXCEPTION_OUTPUT_BYTES // (150 + 3 * budget.bit_length() // 4)
+    steps = q * (min(places[0], q - 1) + 1) ** 3  # the class table's, counted as values
+    sizes = (prod(_placements(places[j], c, p) for j, c in enumerate(counts) if c)
+             for counts in _class_vectors(p, q, places))
+    # lazily: a table too large to build is refused before it is built
+    if any(total > room for total in accumulate(sizes, initial=steps)):
+        raise SizeGuardError(f"{pp} may have more than {room} exceptions up to the bound, "
+                             f"above the {config.EXCEPTION_OUTPUT_BYTES}-byte output guard")
     xs = []
-    x = pp.modulus
-    while x <= budget:
-        xs.append(x)
-        x *= pp.modulus
-    for m in range(1, q):
-        for classes in _residue_class_multisets(p, q, m * (p - 1) + 1):
-            partial = [0]
-            for j, slots in sorted(Counter(classes).items()):
-                sums = sorted(_lift_class(p, q, j, slots, budget))
+    for counts in _class_vectors(p, q, places):
+        partial = [0]
+        for j, c in enumerate(counts):
+            if c:
+                sums = sorted(_lift_class(p, q, j, c, budget, places[j]))
                 partial = [a + b for a in partial for b in sums[: bisect_right(sums, budget - a)]]
-            xs.extend(partial)
-    # digit expansions are unique, and pure powers have digit sum 1 while
-    # every sum has digit sum at least p: no X repeats
+        xs.extend(partial)
+    # digit expansions are unique, so no X repeats; xs[0] is X = 1 (n = 0)
     xs.sort()
-    return [(x - 1) // mod for x in xs]
+    return [(x - 1) // mod for x in xs[1:]]
 
 
 def _form_of(pp: PrimePower, n: int) -> Form:

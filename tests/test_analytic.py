@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from pqcat import analytic
 from pqcat import (
     InequalityConstants,
     InequalityInstance,
@@ -135,6 +136,14 @@ class TestTau0:
         inst = InequalityInstance(PrimePower(2, 2))
         with pytest.raises(ThresholdSearchError):
             find_tau0(inst, max_exponent=64)
+
+    @pytest.mark.parametrize("cap", [0, -1, -64])
+    def test_cap_below_one_refused_before_any_evaluation(self, monkeypatch, cap):
+        calls = []
+        monkeypatch.setattr(analytic, "inequality_holds", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="max_exponent must be >= 1"):
+            find_tau0(InequalityInstance(PrimePower(2, 2)), max_exponent=cap)
+        assert calls == []
 
     def test_every_modulus_certified(self):
         primes = [p for p in range(2, 317) if all(p % d for d in range(2, p))]

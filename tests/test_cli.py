@@ -245,9 +245,28 @@ class TestExitCodes:
         assert lines[0].startswith(f"pqcat: error: checkpoint {path} is not a scan checkpoint")
 
     @pytest.mark.parametrize("subcommand", ["exceptions", "scan"])
-    def test_large_q_enumeration_refused_at_once(self, subcommand):
-        # 40,116,585 residue-class multisets: listing them used to run for minutes
-        argv = [subcommand, "--p", "2", "--q", "14", "--bound", "10"]
+    def test_large_q_small_bound_answered_at_once(self, subcommand):
+        # 601,080,373 class multisets: (2,16) was refused whatever the bound
+        sweep = [n for n in range(1, 11) if bin(65535 * n + 1).count("1") <= 16]
+        argv = [subcommand, "--p", "2", "--q", "16", "--bound", "10"]
+        started = time.monotonic()
+        proc = subprocess.run([sys.executable, "-m", "pqcat", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert time.monotonic() - started < 2.0
+        assert proc.returncode == EXIT_OK and proc.stderr == ""
+        result = parse_record(proc.stdout)["result"]
+        if subcommand == "exceptions":
+            assert result == sweep
+        else:
+            assert result["candidates_tested"] == len(sweep)
+            assert set(result["squarefree_hits"]) <= set(sweep)
+
+    @pytest.mark.parametrize("p,q,bound", [
+        ("313", "2", "2**60"), ("313", "2", "2**100"), ("2", "2", "2**100000"),
+        ("2", "16", "10**10"),
+    ])
+    def test_oversized_enumeration_refused_at_once(self, p, q, bound):
+        argv = ["exceptions", "--p", p, "--q", q, "--bound", bound]
         started = time.monotonic()
         proc = subprocess.run([sys.executable, "-m", "pqcat", *argv],
                               capture_output=True, text=True, timeout=60)

@@ -1,7 +1,9 @@
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
 
+from pqcat import config, exceptions
 from pqcat import (
     OddPowerSum,
     PrimePower,
@@ -130,11 +132,16 @@ def digit_sum_sweep(p: int, q: int, bound: int) -> list[int]:
     return found
 
 
+PRIMES_TO_316 = [p for p in range(2, 317) if all(p % d for d in range(2, p))]
+
+
 class TestExceptionValues:
     @pytest.mark.parametrize(
         "p,q",
         [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (3, 3), (5, 3), (3, 4), (2, 3), (2, 4), (2, 5),
-         (2, 11)],
+         (2, 11),
+         # past a million class multisets: once refused whatever the bound
+         (2, 12), (2, 13), (2, 14), (2, 15), (2, 16), (3, 9), (3, 10), (5, 7)],
     )
     def test_digit_sum_sweep_2e4(self, p, q):
         got = exception_values(PrimePower(p, q), 2 * 10**4)
@@ -153,15 +160,56 @@ class TestExceptionValues:
         for p, q in ((2, 1), (2, 2), (3, 3)):
             assert exception_values(PrimePower(p, q), bound) == []
 
-    @pytest.mark.parametrize(
-        "p,q", [(2, 12), (2, 13), (2, 14), (2, 15), (2, 16), (3, 9), (3, 10), (5, 7)]
-    )
-    def test_moduli_with_too_many_class_multisets_refused(self, p, q):
-        # over 10**6 class multisets whatever the bound, so refused before any work
-        for bound in (0, 10):
-            with pytest.raises(SizeGuardError):
-                exception_values(PrimePower(p, q), bound)
+    def test_every_modulus_below_1e5_matches_sweep(self):
+        moduli = [(p, q) for p in PRIMES_TO_316 for q in range(2, 17) if p**q <= 99999]
+        assert len(moduli) == 108
+        for p, q in moduli:
+            assert exception_values(PrimePower(p, q), 2000) == digit_sum_sweep(p, q, 2000), (p, q)
 
+    def test_output_guard_refuses_before_any_lift(self, monkeypatch):
+        def no_lift(*args):
+            raise AssertionError("lifted past the guard")
+
+        pp = PrimePower(3, 3)
+        answer = exception_values(pp, 10**6)
+        monkeypatch.setattr(exceptions, "_lift_class", no_lift)
+        # the guard prices every value at 150 bytes or more, so this is too small
+        monkeypatch.setattr(config, "EXCEPTION_OUTPUT_BYTES", 100 * len(answer))
+        with pytest.raises(SizeGuardError):
+            exception_values(pp, 10**6)
+        with pytest.raises(SizeGuardError):
+            exception_values(PrimePower(2, 2), 2**100000)
+
+
+def class_multisets(p: int, q: int) -> set[tuple[int, ...]]:
+    # the listing exception_values once filtered: every multiset of l classes,
+    # l = m (p - 1) + 1 for m < q, kept when sum p**j == 1 (mod p**q - 1)
+    found = set()
+    for m in range(q):
+        for combo in combinations_with_replacement(range(q), m * (p - 1) + 1):
+            if sum(p**j for j in combo) % (p**q - 1) == 1 % (p**q - 1):
+                found.add(tuple(combo.count(j) for j in range(q)))
+    return found
+
+
+class TestClassVectors:
+    def test_equal_the_multiset_listing(self):
+        moduli = [(p, q) for p in PRIMES_TO_316 for q in range(2, 17) if p**q <= 99999
+                  and sum(comb(m * (p - 1) + q, q - 1) for m in range(q)) <= 2 * 10**5]
+        assert len(moduli) == 98
+        for p, q in moduli:
+            got = list(exceptions._class_vectors(p, q, [q] * q))
+            assert len(got) == len(set(got)) and set(got) == class_multisets(p, q), (p, q)
+
+    @pytest.mark.parametrize("p,q,places", [
+        (2, 5, [2, 1, 1, 1, 1]), (2, 8, [3, 3, 2, 2, 2, 2, 2, 2]), (3, 4, [1, 1, 1, 1]),
+        (3, 4, [2, 2, 1, 1]), (5, 3, [2, 1, 1]), (7, 2, [3, 2]),
+    ])
+    def test_caps_keep_exactly_the_vectors_that_fit(self, p, q, places):
+        fit = {v for v in class_multisets(p, q)
+               if all(c <= (p - 1) * k for c, k in zip(v, places))}
+        got = list(exceptions._class_vectors(p, q, places))
+        assert len(got) == len(set(got)) and set(got) == fit
 
 
 class TestRecursiveBitConstruction:
