@@ -32,7 +32,7 @@ from mpmath import iv, mp
 
 from . import config
 from .config import PrecisionError, ThresholdSearchError
-from .digits import PrimePower
+from .digits import PrimePower, _shown
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,12 @@ class InequalityInstance:
 
     pp: PrimePower
     constants: InequalityConstants = GENERAL_CONSTANTS
-    precision: int | None = None  # None means the configured default
+    precision: int | None = None  # None means config.DEFAULT_PRECISION
 
     def __post_init__(self) -> None:
         if self.pp.modulus > 99999:
             raise ValueError(f"the inequality requires p**q <= 99999, got {self.pp}")
-        bits = config.default_precision() if self.precision is None else self.precision
+        bits = config.DEFAULT_PRECISION if self.precision is None else self.precision
         if bits < 64:
             raise ValueError(f"precision must be >= 64 bits, got {bits}")
         if bits > config.PRECISION_CAP:
@@ -104,7 +104,7 @@ def _endpoint(x, upper: bool):
 
 def _require_positive(n: int) -> None:
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {_shown(n)}")
 
 
 def _specialized(pp: PrimePower) -> tuple[Fraction, Fraction, int]:

@@ -11,21 +11,22 @@ from __future__ import annotations
 from math import comb
 
 from .config import DEFAULT_EXACT_LIMIT, SizeGuardError
-from .digits import PrimePower, _require_nonneg, sigma_p
+from .digits import PrimePower, _require_nonneg, _shown, sigma_p
 from .modular import granville_binom_mod_pq, inverse_mod_pq
 
 
-def catalan_exact(s: int, n: int, *, limit: int | None = None) -> int:
-    """Exact F(s, n); refuses when s*n exceeds the limit (default 10**6).
+def catalan_exact(s: int, n: int) -> int:
+    """Exact F(s, n); refuses when s*n exceeds DEFAULT_EXACT_LIMIT = 10**6.
 
     F(s, 0) = 1 by the empty-product convention.
     """
     if s < 2:
         raise ValueError(f"s must be >= 2, got {s}")
     _require_nonneg(n)
-    cap = DEFAULT_EXACT_LIMIT if limit is None else limit
-    if s * n > cap:
-        raise SizeGuardError(f"s*n = {s * n} exceeds the exact-computation limit {cap}")
+    if s * n > DEFAULT_EXACT_LIMIT:
+        raise SizeGuardError(
+            f"s*n = {_shown(s * n)} exceeds the exact-computation limit {DEFAULT_EXACT_LIMIT}"
+        )
     value, rem = divmod(comb(s * n, n), (s - 1) * n + 1)
     if rem:
         raise ArithmeticError(f"C({s * n},{n}) not divisible by {(s - 1) * n + 1}")

@@ -2,8 +2,11 @@
 structured records as JSON lines (default) or CSV.
 
 Every integer that may exceed the 53-bit exactness range of common JSON
-consumers is rendered as a decimal string.  Exit codes: 0 success,
-1 domain error, 2 resource-guard error, 64 usage error.
+consumers is rendered as a decimal string, whatever its length: Python's
+4300-digit int/str cap holds while the arguments are parsed, which bounds
+every input to 2**20 bits, and is lifted while the command runs.  Exit
+codes: 0 success, 1 domain error, 2 resource-guard error, 64 usage error;
+every refusal is one stderr line.
 
 The modules behind numpy and mpmath (analytic, catalan, modular) are
 imported by the handlers that use them, so `scan`, `verify` and
@@ -65,11 +68,12 @@ def _jsonable(value):
 
 @contextlib.contextmanager
 def _unlimited_int_str():
-    """Lift Python's 4300-digit cap on int -> str while records are written.
+    """Lift Python's 4300-digit cap on int -> str while a command runs.
 
-    Inputs are bounded (2**20 bits) before any work starts, so the cap only
-    ever refuses an answer that has already been computed.  Pythons without
-    the cap (before 3.10.7) have no setter.
+    `run` opens this once parsing has bounded every input (2**20 bits), so
+    the cap never refuses a label or an answer.  Messages name a huge
+    integer by its bit length instead.  Pythons without the cap (before
+    3.10.7) have no setter.
     """
     get = getattr(sys, "get_int_max_str_digits", None)
     if get is None:
@@ -83,7 +87,6 @@ def _unlimited_int_str():
         sys.set_int_max_str_digits(saved)
 
 
-@_unlimited_int_str()
 def emit(records: list[OutputRecord], format: str = "jsonl") -> str:
     """Serialize records deterministically; one JSON line or CSV row each."""
     if format == "jsonl":
@@ -174,7 +177,6 @@ def _build_parser() -> _Parser:
     p_cat.add_argument("--n", type=_big, required=True)
     p_cat.add_argument("--p", type=int)
     p_cat.add_argument("--q", type=int)
-    p_cat.add_argument("--limit", type=int, help="override the exact-size guard")
 
     p_gran = add("granville", _cmd_granville, help="C(m,n) mod p^q as valuation + unit")
     p_gran.add_argument("--m", type=_big, required=True)
@@ -214,7 +216,7 @@ def _build_parser() -> _Parser:
     p_thr.add_argument("--tau1", action="store_true",
                        help="also report the overall threshold")
     p_thr.add_argument("--precision", type=int,
-                       help=f"bits (default env PQCAT_PRECISION or {config.DEFAULT_PRECISION})")
+                       help=f"bits (default {config.DEFAULT_PRECISION})")
     p_thr.add_argument("--form", choices=["general", "specialized", "both"],
                        default="general")
 
@@ -259,7 +261,7 @@ def _cmd_catalan(args) -> list[OutputRecord]:
     from .catalan import catalan_exact, catalan_residue_mod_pq, catalan_valuation, divides
 
     if args.s is not None:
-        value = catalan_exact(args.s, args.n, limit=args.limit)
+        value = catalan_exact(args.s, args.n)
         return [OutputRecord("catalan", {"s": args.s, "n": args.n}, value)]
     if args.p is None or args.q is None:
         raise ValueError("catalan needs either --s or both --p and --q")
@@ -396,8 +398,9 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        records = args.handler(args)
-        sys.stdout.write(emit(records, args.format))
+        with _unlimited_int_str():
+            records = args.handler(args)
+            sys.stdout.write(emit(records, args.format))
         return EXIT_OK
     except SizeGuardError as exc:
         print(f"pqcat: resource guard: {exc}", file=sys.stderr)

@@ -1,11 +1,9 @@
-"""Resource guards and the one environment-backed default.
+"""Resource guards, defaults and the exceptions that report a guard.
 
-PQCAT_PRECISION sets the working precision in bits for the threshold
-inequality (default 256, at least 64 and at most PRECISION_CAP); the
---precision flag takes precedence over it.
+Nothing here reads the environment: the threshold precision comes from
+the --precision flag or InequalityInstance(precision=...), and None means
+DEFAULT_PRECISION (at least 64 and at most PRECISION_CAP bits).
 """
-
-import os
 
 
 class SizeGuardError(Exception):
@@ -30,11 +28,3 @@ EXCEPTION_OUTPUT_BYTES = 2**30    # most bytes exception_values may build: its b
                                   # number of values times about 150 + 0.75 * bits each
 RESIDUE_PRIME_LIMIT = 3000        # largest p and s_max for the q = 2 residue sets:
                                   # `residues --sequence 3000` takes about 1.5 s on 2 vCPUs
-
-
-def default_precision() -> int:
-    raw = os.environ.get("PQCAT_PRECISION", "")
-    try:
-        return int(raw) if raw else DEFAULT_PRECISION
-    except ValueError as exc:
-        raise ValueError(f"PQCAT_PRECISION must be an integer, got {raw!r}") from exc

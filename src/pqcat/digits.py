@@ -66,9 +66,17 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
+def _shown(x: int) -> str:
+    """x for a message: in decimal up to 64 bits, else its sign and bit
+    length, so a refusal stays one short line however large the input."""
+    if x.bit_length() <= 64:
+        return str(x)
+    return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>"
+
+
 def _require_nonneg(n: int, name: str = "n") -> None:
     if n < 0:
-        raise ValueError(f"{name} must be nonnegative, got {n}")
+        raise ValueError(f"{name} must be nonnegative, got {_shown(n)}")
 
 
 @dataclass(frozen=True)
@@ -112,16 +120,6 @@ class DigitVector:
         for d in reversed(self.digits):
             v = v * self.base + d
         return v
-
-    def digit(self, i: int) -> int:
-        """Digit at power i, zero beyond the stored length."""
-        return self.digits[i] if 0 <= i < len(self.digits) else 0
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __iter__(self):
-        return iter(self.digits)
 
     def __str__(self) -> str:
         # humans read most-significant-first
@@ -249,5 +247,5 @@ def binom_valuation(m: int, n: int, p: int) -> int:
     """v_p(C(m, n)) via Kummer's carry count for n + (m - n)."""
     _require_nonneg(n)
     if n > m:
-        raise ValueError(f"need n <= m, got m={m} n={n}")
+        raise ValueError(f"need n <= m, got m={_shown(m)} n={_shown(n)}")
     return kummer_carries(n, m - n, p)

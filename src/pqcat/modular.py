@@ -23,7 +23,7 @@ from math import comb, isqrt, log2
 import numpy as np
 
 from .config import SizeGuardError
-from .digits import PrimePower, _digit_array, _require_nonneg, _require_prime
+from .digits import PrimePower, _digit_array, _require_nonneg, _require_prime, _shown
 
 # prefix tables of k!_p mod p**q are only built for moduli up to this size;
 # without a table a direct product of more steps than this is refused
@@ -83,8 +83,8 @@ def factorial_p_mod(n: int, pp: PrimePower) -> int:
         part = int(table[rem])
     elif rem > _FACT_TABLE_MAX:
         raise SizeGuardError(
-            f"{n}!_p mod {pp} needs a direct product of {rem} steps, over the cap "
-            f"of 2**22 (tables exist only for moduli up to 2**22)"
+            f"{_shown(n)}!_p mod {pp} needs a direct product of {_shown(rem)} steps, "
+            f"over the cap of 2**22 (tables exist only for moduli up to 2**22)"
         )
     else:
         part = 1
@@ -140,7 +140,7 @@ def granville_binom_mod_pq(m: int, n: int, pp: PrimePower) -> GranvilleResult:
     """
     _require_nonneg(n)
     if n > m:
-        raise ValueError(f"need 0 <= n <= m, got m={m} n={n}")
+        raise ValueError(f"need 0 <= n <= m, got m={_shown(m)} n={_shown(n)}")
     p, q, pq = pp.p, pp.q, pp.modulus
     # One row each for m, n and r = m - n: a power-of-two count of windows,
     # at least the digit count of m, plus the q - 1 digits the top windows

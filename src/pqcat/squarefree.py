@@ -32,7 +32,7 @@ from math import isqrt
 
 from . import config
 from .config import SizeGuardError
-from .digits import PrimePower
+from .digits import PrimePower, _shown
 from .exceptions import exception_values
 
 _sieved: tuple[int, list[int]] = (1, [])  # (covered limit, every prime <= it)
@@ -62,7 +62,7 @@ def _primes_covering(limit: int) -> list[int]:
     global _sieved
     if limit > config.DEFAULT_SIEVE_LIMIT:
         raise SizeGuardError(
-            f"sieve target {limit} exceeds the guard {config.DEFAULT_SIEVE_LIMIT}"
+            f"sieve target {_shown(limit)} exceeds the guard {config.DEFAULT_SIEVE_LIMIT}"
         )
     covered, primes = _sieved
     if limit > covered:
@@ -102,7 +102,7 @@ def is_squarefree_binom(m: int, n: int) -> bool:
     ones are visited.
     """
     if n < 0 or n > m:
-        raise ValueError(f"need 0 <= n <= m, got m={m} n={n}")
+        raise ValueError(f"need 0 <= n <= m, got m={_shown(m)} n={_shown(n)}")
     root = isqrt(m)
     r_part = m - n
     for p in _primes_covering(root):
@@ -139,23 +139,29 @@ def _write_checkpoint(path: str, pp: PrimePower, bound: int, last_n: int, hits: 
     os.replace(tmp, path)
 
 
+# Python's default cap on parsing an int from text; cli.run lifts the
+# interpreter's cap while a command runs, so checkpoint numbers keep it here
+_MAX_DIGITS = 4300
+
+
 def _decimal(text: object) -> int:
-    """The value of a string of ASCII digits; anything else is refused."""
-    if isinstance(text, str) and text.isascii() and text.isdigit():
+    """The value of a string of at most _MAX_DIGITS ASCII digits; anything
+    else is refused."""
+    if isinstance(text, str) and text.isascii() and text.isdigit() and len(text) <= _MAX_DIGITS:
         return int(text)
-    raise ValueError(f"expected a string of decimal digits, got {text!r}")
+    raise ValueError(f"expected at most {_MAX_DIGITS} decimal digits, got {text!r:.80}")
 
 
 def _read_checkpoint(path: str, pp: PrimePower) -> tuple[int, list[int]]:
     with open(path, encoding="ascii") as fh:
         text = fh.read()
     try:
-        record = json.loads(text)
+        record = json.loads(text, parse_int=_decimal)
         p, q = record["p"], record["q"]
         if type(p) is not int or type(q) is not int:  # bools are ints too
-            raise TypeError(f"p and q must be integers, got {p!r} and {q!r}")
+            raise TypeError(f"p and q must be integers, got {p!r:.80} and {q!r:.80}")
         if not isinstance(record["hits"], list):
-            raise TypeError(f"hits must be a list, got {record['hits']!r}")
+            raise TypeError(f"hits must be a list, got {record['hits']!r:.80}")
         last_n, hits = _decimal(record["last_n"]), [_decimal(h) for h in record["hits"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {path} is not a scan checkpoint: {exc!r}") from exc
@@ -179,7 +185,7 @@ def scan_candidates(
     and rewritten as the scan advances.
     """
     if bound < 0:
-        raise ValueError(f"bound must be >= 0, got {bound}")
+        raise ValueError(f"bound must be >= 0, got {_shown(bound)}")
     if not exhaustive and pp.q < 2:
         raise ValueError("the candidate filter needs q >= 2; use exhaustive mode")
 
@@ -194,10 +200,12 @@ def scan_candidates(
     if checkpoint_path and os.path.exists(checkpoint_path):
         resume_from, prior = _read_checkpoint(checkpoint_path, pp)
         hits.extend(h for h in prior if h <= bound)
+    # one sieve for the largest m, so no candidate grows the cache; its guard
+    # also refuses a range too long for len(), which the slice needs
+    if candidates:
+        _primes_covering(isqrt(pp.modulus * candidates[-1] + 1))
     todo = candidates[bisect_right(candidates, resume_from):]
     resume_from = min(resume_from, bound)  # reported checkpoint stays <= bound
-    if todo:  # one sieve for the largest m, so no candidate grows the cache
-        _primes_covering(isqrt(pp.modulus * todo[-1] + 1))
 
     last = resume_from
     for i, n in enumerate(todo):

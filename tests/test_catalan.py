@@ -35,13 +35,13 @@ class TestExact:
             catalan_exact(1, 5)
         with pytest.raises(SizeGuardError):
             catalan_exact(4, 10**7)
-        assert catalan_exact(4, 10**3, limit=10**7) > 0
+        assert catalan_exact(4, 10**3) > 0
 
     def test_integrality_both_identities(self):
         # ((s-1)n+1) | C(sn,n) and F = C(sn+1, n)/(sn+1)
         for s in range(2, 10):
             for n in range(0, 201):
-                f = catalan_exact(s, n, limit=10**7)
+                f = catalan_exact(s, n)
                 assert f * ((s - 1) * n + 1) == comb(s * n, n)
                 assert f * (s * n + 1) == comb(s * n + 1, n)
 

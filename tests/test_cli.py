@@ -244,6 +244,26 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith(f"pqcat: error: checkpoint {path} is not a scan checkpoint")
 
+    @pytest.mark.parametrize("content", [
+        '{"p": 2, "q": 2, "last_n": "%s", "hits": []}' % ("9" * 10**6),
+        '{"p": %s, "q": 2, "last_n": "5", "hits": []}' % ("9" * 10**6),
+        '{"p": 2, "q": 2, "last_n": "5", "hits": "%s"}' % ("x" * 10**6),
+    ], ids=["huge-last-n", "huge-p", "huge-hits-string"])
+    def test_checkpoint_with_huge_fields_refused_at_once(self, capsys, tmp_path, content):
+        # the digit cap is lifted while a command runs; without the
+        # checkpoint's own, a million-digit field would take seconds to parse
+        path = tmp_path / "ck.json"
+        path.write_text(content)
+        argv = ["scan", "--p", "2", "--q", "2", "--bound", "100", "--checkpoint", str(path)]
+        started = time.monotonic()
+        assert run(argv) == EXIT_DOMAIN
+        assert time.monotonic() - started < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 400
+        assert lines[0].startswith(f"pqcat: error: checkpoint {path} is not a scan checkpoint")
+
     @pytest.mark.parametrize("subcommand", ["exceptions", "scan"])
     def test_large_q_small_bound_answered_at_once(self, subcommand):
         # 601,080,373 class multisets: (2,16) was refused whatever the bound
@@ -284,18 +304,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"pqcat: error: precision must be >= 64 bits, got {bits}\n"
 
-    @pytest.mark.parametrize("flags,env", [
-        (["--precision", "1000000"], None),
-        (["--precision", "99999999999"], None),
-        ([], "50000000"),
-    ], ids=["flag-1e6", "flag-1e11", "env-5e7"])
-    def test_precision_above_cap_refused_at_once(self, flags, env):
+    @pytest.mark.parametrize("flags", [
+        ["--precision", "1000000"],
+        ["--precision", "99999999999"],
+    ], ids=["flag-1e6", "flag-1e11"])
+    def test_precision_above_cap_refused_at_once(self, flags):
         # these used to run for minutes, or end in a MemoryError traceback
         argv = ["threshold", "--p", "2", "--q", "2", "--log2-n", "10", *flags]
-        environ = {**os.environ, "PQCAT_PRECISION": env} if env else None
         started = time.monotonic()
         proc = subprocess.run([sys.executable, "-m", "pqcat", *argv],
-                              capture_output=True, text=True, timeout=60, env=environ)
+                              capture_output=True, text=True, timeout=60)
         assert time.monotonic() - started < 2.0
         assert proc.returncode == EXIT_RESOURCE
         assert proc.stdout == ""
@@ -325,6 +343,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["digits", "--n", "2**20000", "--p", "2"],
         ["valuation", "--p", "2", "--n", "2**20000"],
+        ["threshold", "--p", "2", "--q", "2", "--n", "2**20000"],
     ])
     def test_output_above_4300_digits(self, capsys, argv):
         code, recs = run_lines(capsys, argv)
@@ -333,6 +352,37 @@ class TestExitCodes:
         assert len(emitted) > 4300
         with _unlimited_int_str():
             assert int(emitted) == 2**20000
+
+    @pytest.mark.parametrize("argv,code,line", [
+        (["valuation", "--p", "2", "--m", "5", "--n", "2**20000"], EXIT_DOMAIN,
+         "pqcat: error: need n <= m, got m=5 n=<20001-bit integer>"),
+        (["scan", "--p", "2", "--q", "2", "--bound=-2**20001"], EXIT_DOMAIN,
+         "pqcat: error: bound must be >= 0, got -<20002-bit integer>"),
+        (["scan", "--p", "2", "--q", "2", "--bound", "2**63", "--exhaustive"], EXIT_RESOURCE,
+         "pqcat: resource guard: sieve target 6074000999 exceeds the guard 100000000"),
+        (["scan", "--p", "2", "--q", "2", "--bound", "2**100000", "--exhaustive"], EXIT_RESOURCE,
+         "pqcat: resource guard: sieve target <50002-bit integer> exceeds the guard 100000000"),
+        (["verify", "--p", "2", "--q", "2", "--bound", "2**63"], EXIT_RESOURCE,
+         "pqcat: resource guard: sieve target 6074000999 exceeds the guard 100000000"),
+    ], ids=["valuation-n-above-m", "scan-negative-bound", "exhaustive-2**63",
+            "exhaustive-2**100000", "verify-2**63"])
+    def test_huge_inputs_refused_in_one_short_line(self, argv, code, line):
+        started = time.monotonic()
+        proc = subprocess.run([sys.executable, "-m", "pqcat", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert time.monotonic() - started < 2.0
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [line]
+
+    def test_catalan_limit_flag_removed(self, capsys):
+        assert run(["catalan", "--s", "4", "--n", "3", "--limit", "5"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: pqcat catalan ")
+        assert captured.err.splitlines()[-1] == (
+            "pqcat catalan: error: unrecognized arguments: --limit 5"
+        )
 
     @pytest.mark.parametrize("flags", [["--jobs", "2"], ["--seed-forms"]])
     def test_scan_removed_flags_are_usage_errors(self, capsys, flags):
@@ -420,7 +470,7 @@ class TestSubprocess:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"] == [0, 1, 3, 6]
 
-    def test_env_precision_respected(self):
+    def test_environment_leaves_precision_at_default(self):
         proc = subprocess.run(
             [sys.executable, "-m", "pqcat", "threshold", "--p", "2", "--q", "2", "--log2-n", "100"],
             capture_output=True,
@@ -428,9 +478,9 @@ class TestSubprocess:
             env={**os.environ, "PQCAT_PRECISION": "128"},
         )
         assert proc.returncode == 0
-        assert json.loads(proc.stdout)["inputs"]["precision"] == 128
+        assert json.loads(proc.stdout)["inputs"]["precision"] == 256
 
-    def test_flag_beats_env(self):
+    def test_precision_flag(self):
         proc = subprocess.run(
             [
                 sys.executable, "-m", "pqcat", "threshold",
@@ -438,7 +488,6 @@ class TestSubprocess:
             ],
             capture_output=True,
             text=True,
-            env={**os.environ, "PQCAT_PRECISION": "128"},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["inputs"]["precision"] == 192

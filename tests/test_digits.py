@@ -172,6 +172,16 @@ class TestBinomValuation:
         with pytest.raises(ValueError):
             binom_valuation(4, 5, 3)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: binom_valuation(0, 2**64 - 1, 2), f"need n <= m, got m=0 n={2**64 - 1}"),
+        (lambda: binom_valuation(5, 2**20000, 2), "need n <= m, got m=5 n=<20001-bit integer>"),
+        (lambda: sigma_p(-(2**64), 2), "n must be nonnegative, got -<65-bit integer>"),
+    ], ids=["64-bit-decimal", "huge", "negative"])
+    def test_messages_name_huge_integers_by_size(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
     def test_matches_legendre(self):
         for p in (2, 3, 5):
             for m in range(0, 401):
