@@ -20,7 +20,6 @@ _EXPORTS = {
         "inequality_holds",
         "inequality_sides",
         "specialized_constants",
-        "sqrt_gap_lower_bound",
         "tau1",
     ),
     "catalan": ("catalan_exact", "catalan_residue_mod_pq", "catalan_valuation", "divides"),

@@ -119,58 +119,60 @@ def _log(c: InequalityConstants, x):
     return y if c.natural_log else y / iv.log(iv.mpf(10))
 
 
-def _main_log_arg(inst: InequalityInstance, n: int, form: str):
-    """The argument of the main term's logarithm: log_scale*((p**q - 1)n + 1)
-    in the general form, scale*n + 1 in the specialized one."""
+def _shape(inst: InequalityInstance, form: str):
+    """(C, k, c, D) of the right side in its one shape,
+
+        rhs = C n**exp_n L**exp_log + 3 c_tail log n + D,   L = log(k n + c),
+
+    with C and D intervals at the working precision and k, c ints.  The
+    general form has C = c_main p**(q exp_n), k = log_scale (p**q - 1),
+    c = log_scale and D = 2q c_tail log p; the specialized one takes C, D
+    and k from _SPECIALIZED, with c = 1.
+    """
+    const = inst.constants
+    p, q = inst.pp.p, inst.pp.q
     if form == "general":
-        return iv.mpf(inst.constants.log_scale) * iv.mpf((inst.pp.modulus - 1) * n + 1)
+        C = _frac(const.c_main) * _pow_frac(iv.mpf(p), const.exp_n * q)
+        D = _frac(2 * q * const.c_tail) * _log(const, iv.mpf(p))
+        return C, const.log_scale * (inst.pp.modulus - 1), const.log_scale, D
     if form == "specialized":
-        return iv.mpf(_specialized(inst.pp)[2]) * iv.mpf(n) + 1
+        c_main, c_tail, scale = _specialized(inst.pp)
+        return _frac(c_main), scale, 1, _frac(c_tail)
     raise ValueError(f"unknown form {form!r}")
 
 
-def _sides_once(inst: InequalityInstance, n: int, form: str):
-    c = inst.constants
-    pq = inst.pp.modulus
-    q = inst.pp.q
-    a = _frac(c.alpha)
-    big = iv.mpf(pq * n + 1)
-    small = iv.mpf((pq - 1) * n + 1)
-    lhs = (1 - a) * iv.sqrt(big) - (1 + a) * iv.sqrt(small)
-
-    n_iv = iv.mpf(n)
-    log_main = _log(c, _main_log_arg(inst, n, form)) ** _frac(c.exp_log)
-    if form == "general":
-        main = (
-            _frac(c.c_main)
-            * _pow_frac(iv.mpf(inst.pp.p), c.exp_n * q)
-            * _pow_frac(n_iv, c.exp_n)
-            * log_main
-        )
-        tail = _frac(c.c_tail) * (3 * _log(c, n_iv) + 2 * q * _log(c, iv.mpf(inst.pp.p)))
-    else:
-        c_main, c_tail, _ = _specialized(inst.pp)
-        main = _frac(c_main) * _pow_frac(n_iv, c.exp_n) * log_main
-        tail = 3 * _frac(c.c_tail) * _log(c, n_iv) + _frac(c_tail)
-    return lhs, main + tail
+def _escalate(bits: int, attempt, failure: str):
+    """attempt() at the given precision, doubling it until the attempt is
+    decisive (returns anything but None); past the cap, PrecisionError."""
+    while bits <= config.PRECISION_CAP:
+        with _workprec(bits):
+            found = attempt()
+        if found is not None:
+            return found
+        bits *= 2
+    raise PrecisionError(failure)
 
 
 def _sides_interval(inst: InequalityInstance, n: int, form: str):
-    """Evaluate both sides, escalating precision until comparable."""
-    bits = inst.precision
-    while True:
-        with _workprec(bits):
-            lhs, rhs = _sides_once(inst, n, form)
-            gt = lhs > rhs
-            lt = lhs < rhs
-            if gt or lt:
-                return lhs, rhs, bool(gt)
-        bits *= 2
-        if bits > config.PRECISION_CAP:
-            raise PrecisionError(
-                f"sides indistinguishable at {config.PRECISION_CAP} bits "
-                f"for {inst.pp}, n with {n.bit_length()} bits"
-            )
+    """Both sides at n as intervals, and whether the left one wins, at the
+    first doubling of the instance's precision that decides it."""
+    _require_positive(n)
+    c = inst.constants
+    pq = inst.pp.modulus
+
+    def attempt():
+        a = _frac(c.alpha)
+        lhs = (1 - a) * iv.sqrt(iv.mpf(pq * n + 1)) - (1 + a) * iv.sqrt(iv.mpf((pq - 1) * n + 1))
+        C, k, c0, D = _shape(inst, form)
+        n_iv = iv.mpf(n)
+        main = C * _pow_frac(n_iv, c.exp_n) * _log(c, iv.mpf(k * n + c0)) ** _frac(c.exp_log)
+        rhs = main + (3 * _frac(c.c_tail) * _log(c, n_iv) + D)
+        gt, lt = lhs > rhs, lhs < rhs
+        return (lhs, rhs, bool(gt)) if gt or lt else None
+
+    failure = (f"sides indistinguishable at {config.PRECISION_CAP} bits "
+               f"for {inst.pp}, n with {n.bit_length()} bits")
+    return _escalate(inst.precision, attempt, failure)
 
 
 def inequality_sides(inst: InequalityInstance, n: int, *, form: str = "general"):
@@ -180,7 +182,6 @@ def inequality_sides(inst: InequalityInstance, n: int, *, form: str = "general")
     rhs), and conversely, so comparing the returned numbers reproduces the
     rigorous interval verdict.
     """
-    _require_positive(n)
     lhs, rhs, lhs_wins = _sides_interval(inst, n, form)
     if lhs_wins:
         return _endpoint(lhs, upper=False), _endpoint(rhs, upper=True)
@@ -189,7 +190,6 @@ def inequality_sides(inst: InequalityInstance, n: int, *, form: str = "general")
 
 def inequality_holds(inst: InequalityInstance, n: int, *, form: str = "general") -> bool:
     """Whether the left side strictly exceeds the right side at n."""
-    _require_positive(n)
     return _sides_interval(inst, n, form)[2]
 
 
@@ -203,11 +203,12 @@ def find_tau0(
     holds at every n >= n0 = 2**e.
 
     Doubling then bisection finds the crossing; holding above it is then
-    proved, not sampled.  Write rhs = C n**exp_n L**exp_log + tail, where L
-    is the main term's logarithm (natural or decimal) of k n + c, k, c > 0.
-    When n0 >= 8, alpha >= 0, C > 0, c_tail >= 0, exp_log >= 0,
-    exp_n < 1/2 and L(n0) > exp_log / (1/2 - exp_n) (132 for the general
-    constants), rhs/lhs strictly decreases on [n0, oo):
+    proved, not sampled.  The right side has one shape in both forms,
+    rhs = C n**exp_n L**exp_log + 3 c_tail log n + D, where L is the
+    logarithm (natural or decimal) of k n + c (see _shape).  When n0 >= 8,
+    alpha >= 0, C, k, c > 0, c_tail, D >= 0, exp_log >= 0, exp_n < 1/2 and
+    L(n0) > exp_log / (1/2 - exp_n) (132 for the general constants),
+    rhs/lhs strictly decreases on [n0, oo):
 
       * lhs = sqrt(n) B(n), B(n) = (1-a) sqrt(p**q + 1/n)
         - (1+a) sqrt(p**q - 1 + 1/n), and B increases with n as a >= 0;
@@ -215,15 +216,16 @@ def find_tau0(
         n**(exp_n - 1/2) L**exp_log is below exp_n - 1/2 + exp_log / L,
         which is negative since L increases with n and exceeds the bound
         at n0; with C > 0 and B increasing, main/lhs strictly decreases;
-      * the tail is A log n + D with A, D >= 0, and (A log n + D) / sqrt(n)
-        does not increase for n > e**2, so tail/lhs does not for n >= 8.
+      * the tail is A log n + D with A = 3 c_tail >= 0 and D >= 0, and
+        (A log n + D) / sqrt(n) does not increase for n > e**2, so tail/lhs
+        does not for n >= 8.
 
-    So rhs/lhs < 1 at n0 gives it at every larger n.  The conditions on
-    the constants are checked exactly, and L(n0) once in interval arithmetic
-    at the instance's precision.  Raises ThresholdSearchError when one
-    fails, or when no holding exponent exists below the cap (max_exponent,
-    by default config.DEFAULT_EXPONENT_CAP); a cap below 1 raises
-    ValueError before any evaluation.
+    So rhs/lhs < 1 at n0 gives it at every larger n.  The conditions are
+    read off the shape: exactly for the rationals, and for C, D and L(n0)
+    in interval arithmetic at the instance's precision.  Raises
+    ThresholdSearchError when one fails, or when no holding exponent exists
+    below the cap (max_exponent, by default config.DEFAULT_EXPONENT_CAP); a
+    cap below 1 raises ValueError before any evaluation.
     """
     cap = config.DEFAULT_EXPONENT_CAP if max_exponent is None else max_exponent
     if cap < 1:
@@ -248,13 +250,13 @@ def find_tau0(
             lo = mid
 
     c = inst.constants
-    c_main = c.c_main if form == "general" else _specialized(inst.pp)[0]
     half = Fraction(1, 2)
-    if (hi >= 3 and c.alpha >= 0 and c_main > 0 and c.c_tail >= 0
-            and c.exp_log >= 0 and c.exp_n < half):
+    if hi >= 3 and c.alpha >= 0 and c.c_tail >= 0 and c.exp_log >= 0 and c.exp_n < half:
         bound = c.exp_log / (half - c.exp_n)
         with _workprec(inst.precision):
-            if _log(c, _main_log_arg(inst, 1 << hi, form)) > _frac(bound):
+            C, k, c0, D = _shape(inst, form)
+            if (C > 0 and k > 0 and c0 > 0 and D >= 0
+                    and _log(c, iv.mpf(k * (1 << hi) + c0)) > _frac(bound)):
                 return hi
     raise ThresholdSearchError(
         f"cannot prove that the inequality holds above 2**{hi} for {inst.pp}: "
@@ -272,17 +274,14 @@ def tau1(pp: PrimePower, tau0: int) -> int:
 
 
 def _ceil_exp60_quotient(denominator: int) -> int:
-    bits = 128
-    while bits <= config.PRECISION_CAP:
-        with _workprec(bits):
-            x = (iv.exp(iv.mpf(60)) - 1) / iv.mpf(denominator)
-            with mp.workprec(bits + 16):  # mp.ceil rounds to mp.prec
-                lo = int(mp.ceil(_endpoint(x, upper=False)))
-                hi = int(mp.ceil(_endpoint(x, upper=True)))
-        if lo == hi:
-            return lo
-        bits *= 2
-    raise PrecisionError("could not pin ceil((e**60 - 1)/denominator)")
+    def attempt():
+        x = (iv.exp(iv.mpf(60)) - 1) / iv.mpf(denominator)
+        with mp.workprec(iv.prec + 16):  # mp.ceil rounds to mp.prec
+            lo = int(mp.ceil(_endpoint(x, upper=False)))
+            hi = int(mp.ceil(_endpoint(x, upper=True)))
+        return lo if lo == hi else None
+
+    return _escalate(128, attempt, "could not pin ceil((e**60 - 1)/denominator)")
 
 
 def specialized_constants(pp: PrimePower) -> tuple[Fraction, Fraction]:
@@ -299,20 +298,3 @@ def specialized_constants(pp: PrimePower) -> tuple[Fraction, Fraction]:
         produced with decimal instead of natural logarithms.
     """
     return _specialized(pp)[:2]
-
-
-def sqrt_gap_lower_bound(inst: InequalityInstance, n: int):
-    """The closed-form lower bound for the left side, valid for n >= 2:
-
-        ((1-a)**2/(1+a) - p**q / 100000.25) * sqrt(n) / (2 sqrt(p**q)).
-
-    Returned as an upper endpoint so `bound <= lhs` checks are conservative.
-    """
-    if n < 2:
-        raise ValueError(f"the bound needs n >= 2, got {n}")
-    with _workprec(inst.precision):
-        a = _frac(inst.constants.alpha)
-        pq = iv.mpf(inst.pp.modulus)
-        coeff = (1 - a) ** 2 / (1 + a) - pq / _frac(Fraction(400001, 4))
-        value = coeff * iv.sqrt(iv.mpf(n)) / (2 * iv.sqrt(pq))
-        return _endpoint(value, upper=True)

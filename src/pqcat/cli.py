@@ -137,10 +137,10 @@ def _big(text: str) -> int:
     # b**e has more than e * (bits(b) - 1) bits: refuse before computing
     if e * (abs(b).bit_length() - 1) >= _MAX_BIG_BITS:
         raise argparse.ArgumentTypeError(f"{text} exceeds {_MAX_BIG_BITS} bits")
-    value = b**e
+    value = abs(b) ** e
     if value.bit_length() > _MAX_BIG_BITS:
         raise argparse.ArgumentTypeError(f"{text} exceeds {_MAX_BIG_BITS} bits")
-    return value
+    return -value if b < 0 else value  # the sign binds looser: -2**e is -(2**e)
 
 
 def _log2_n(text: str) -> int:

@@ -6,12 +6,14 @@ the unit from the p-free factorials k!_p (the product of all i <= k coprime
 to p) of q-digit windows of m, n and m - n.  The whole computation is array
 work: the base-p digits come from `digits._digit_array`, e0 and the sign
 from digit sums, every window from one sliding dot product with
-[1, p, ..., p**(q-1)], and the window factorials from a prefix table
-gathered in one step and multiplied by pairwise halving.  Tables are int64
-arrays, built for p**q <= 2**22, where every window and every product of
-two residues fits a machine word.  Above that cap the same code runs on
-Python-int arrays and each window's k!_p is a direct product, refused with
-SizeGuardError once it would take more than 2**22 steps.
+[1, p, ..., p**(w-1)], w = min(q, bits(m) + 1), and the window factorials
+from a prefix table gathered in one step and multiplied by pairwise
+halving.  Tables are int64 arrays, built for p**q <= 2**22, where every
+window and every product of two residues fits a machine word.  Above that
+cap the same code runs on Python-int arrays and each window's k!_p is a
+direct product, refused with SizeGuardError once it would take more than
+2**22 steps; when p**(q-1) also passes 2**22, every m above 2**22 has
+such a window and is refused before its digits are built.
 """
 
 from __future__ import annotations
@@ -142,22 +144,32 @@ def granville_binom_mod_pq(m: int, n: int, pp: PrimePower) -> GranvilleResult:
     if n > m:
         raise ValueError(f"need 0 <= n <= m, got m={_shown(m)} n={_shown(n)}")
     p, q, pq = pp.p, pp.q, pp.modulus
-    # One row each for m, n and r = m - n: a power-of-two count of windows,
-    # at least the digit count of m, plus the q - 1 digits the top windows
-    # read.  The padding is zeros, and an all-zero window contributes 1.
-    windows_per_row = 1 << int(m.bit_length() / log2(p) + 1).bit_length()
-    size = windows_per_row + q - 1
-    rows = _digit_array([m, n, m - n], p, size)
     table = _unit_factorial_table(p, q)
+    # without a table, p**(q-1) > 2**22 puts some window of any m > 2**22
+    # over the cap: m itself, or the window holding m's top digit
+    if table is None and m > _FACT_TABLE_MAX and p ** min(q - 1, 23) > _FACT_TABLE_MAX:
+        raise SizeGuardError(
+            f"C({_shown(m)}, n) mod {pp} needs k!_p of a window above 2**22, a direct "
+            f"product over the cap of 2**22 (tables exist only for moduli up to 2**22)"
+        )
+    # One row each for m, n and r = m - n: a power-of-two count of windows,
+    # at least the digit count of m, plus the width - 1 digits the top
+    # windows read.  A window is at most bits(m) + 1 digits wide: the digits
+    # above m's top are zero, so every window keeps its value.  The padding
+    # is zeros, and an all-zero window contributes 1.
+    width = min(q, m.bit_length() + 1)
+    windows_per_row = 1 << int(m.bit_length() / log2(p) + 1).bit_length()
+    size = windows_per_row + width - 1
+    rows = _digit_array([m, n, m - n], p, size)
     if table is None:
         # windows may pass 2**63: the same steps on Python ints
         rows = rows.astype(object)
         fact = np.frompyfunc(lambda k: factorial_p_mod(k, pp), 1, 1)
     else:
         fact = table.__getitem__
-    # the "full" correlation's entry q - 1 + i is the window starting at i
-    powers = np.array([p**t for t in range(q)], dtype=rows.dtype)
-    windows = np.correlate(rows.reshape(-1), powers, "full")[q - 1 :]
+    # the "full" correlation's entry width - 1 + i is the window starting at i
+    powers = np.array([p**t for t in range(width)], dtype=rows.dtype)
+    windows = np.correlate(rows.reshape(-1), powers, "full")[width - 1 :]
     windows = windows.reshape(3, size)[:, :windows_per_row]
 
     # Kummer: e0 = (s(n) + s(r) - s(m)) / (p - 1).  The carries below digit

@@ -13,7 +13,6 @@ from pqcat import (
     inequality_holds,
     inequality_sides,
     specialized_constants,
-    sqrt_gap_lower_bound,
     tau1,
 )
 
@@ -132,6 +131,19 @@ class TestTau0:
         inst = InequalityInstance(PrimePower(2, 2), constants=constants)
         assert find_tau0(inst) == 1518
 
+    @pytest.mark.parametrize("natural_log,form,expected", [
+        (True, "general", {(2, 2): 1698, (3, 2): 1763}),
+        (True, "specialized", {(2, 2): 1698, (3, 2): 1696}),
+        (False, "general", {(2, 2): 1518, (3, 2): 1584}),
+        (False, "specialized", {(2, 2): 1518, (3, 2): 1516}),
+    ])
+    def test_crossings_by_form_and_log_base(self, natural_log, form, expected):
+        constants = InequalityConstants(natural_log=natural_log)
+        for (p, q), e in expected.items():
+            inst = InequalityInstance(PrimePower(p, q), constants=constants)
+            assert find_tau0(inst, form=form) == e, (p, q)
+            assert not inequality_holds(inst, 2 ** (e - 1), form=form), (p, q)
+
     def test_exponent_cap(self):
         inst = InequalityInstance(PrimePower(2, 2))
         with pytest.raises(ThresholdSearchError):
@@ -237,17 +249,3 @@ class TestSpecializedConstants:
         with pytest.raises(ValueError):
             specialized_constants(PrimePower(5, 2))
 
-
-class TestCrudeLowerBound:
-    @pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (7, 2), (31, 2)])
-    def test_below_lhs_on_grid(self, p, q):
-        inst = InequalityInstance(PrimePower(p, q))
-        for k in range(1, 25):
-            n = 10**k
-            bound = sqrt_gap_lower_bound(inst, n)
-            lhs, _ = inequality_sides(inst, n)
-            assert bound <= lhs
-
-    def test_positive_coefficient_near_limit(self):
-        inst = InequalityInstance(PrimePower(99991, 1))
-        assert sqrt_gap_lower_bound(inst, 10**12) > 0

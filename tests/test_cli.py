@@ -193,6 +193,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["granville", "--m", "2**50", "--n", "12345", "--p", "2", "--q", "40"],
         ["catalan", "--p", "2", "--q", "40", "--n", "12345"],
+        # p**(q-1) > 2**22: refused before any window is built
+        ["granville", "--m", "2**20000", "--n", "5", "--p", "2", "--q", "20000"],
     ])
     def test_huge_modulus_refused_not_hung(self, argv):
         # no factorial table above 2**22: a long direct product is refused
@@ -204,6 +206,16 @@ class TestExitCodes:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("pqcat: resource guard: ")
+
+    def test_huge_q_small_m_answered_at_once(self):
+        # windows only as wide as m's digits, not q = 10000
+        argv = ["granville", "--m", "100", "--n", "7", "--p", "2", "--q", "10000"]
+        started = time.monotonic()
+        proc = subprocess.run([sys.executable, "-m", "pqcat", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert time.monotonic() - started < 10
+        assert proc.returncode == EXIT_OK and proc.stderr == ""
+        assert json.loads(proc.stdout)["result"] == {"e0": 5, "unit_residue": 500236275}
 
     def test_huge_modulus_small_m_answered(self, capsys):
         code, recs = run_lines(capsys, ["granville", "--m", "100", "--n", "7", "--p", "2", "--q", "40"])
@@ -364,8 +376,14 @@ class TestExitCodes:
          "pqcat: resource guard: sieve target <50002-bit integer> exceeds the guard 100000000"),
         (["verify", "--p", "2", "--q", "2", "--bound", "2**63"], EXIT_RESOURCE,
          "pqcat: resource guard: sieve target 6074000999 exceeds the guard 100000000"),
+        # the sign binds looser than the power, as in Python: -2**4 is -16
+        (["digits", "--n=-2**4", "--p", "2"], EXIT_DOMAIN,
+         "pqcat: error: n must be nonnegative, got -16"),
+        (["scan", "--p", "2", "--q", "2", "--bound=-2**4"], EXIT_DOMAIN,
+         "pqcat: error: bound must be >= 0, got -16"),
     ], ids=["valuation-n-above-m", "scan-negative-bound", "exhaustive-2**63",
-            "exhaustive-2**100000", "verify-2**63"])
+            "exhaustive-2**100000", "verify-2**63", "digits-minus-even-power",
+            "scan-minus-even-power"])
     def test_huge_inputs_refused_in_one_short_line(self, argv, code, line):
         started = time.monotonic()
         proc = subprocess.run([sys.executable, "-m", "pqcat", *argv],
