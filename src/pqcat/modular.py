@@ -8,19 +8,21 @@ work: the base-p digits come from `digits._digit_array`, e0 and the sign
 from digit sums, every window from one sliding dot product with
 [1, p, ..., p**(w-1)], w = min(q, bits(m) + 1), and the window factorials
 from a prefix table gathered in one step and multiplied by pairwise
-halving.  Tables are int64 arrays, built for p**q <= 2**22, where every
-window and every product of two residues fits a machine word.  Above that
-cap the same code runs on Python-int arrays and each window's k!_p is a
-direct product, refused with SizeGuardError once it would take more than
-2**22 steps; when p**(q-1) also passes 2**22, every m above 2**22 has
-such a window and is refused before its digits are built.
+halving.  Tables hold the prefix products over the units only, as int32,
+and are built for p**q <= 2**22, where every window fits a machine word
+and every product of two residues fits int64.  Above that cap the same
+code runs on Python-int arrays, and the windows' k!_p are read off one
+running product over their distinct values, up to the largest; a window
+that would take more than 2**22 steps is refused with SizeGuardError.
+When p**(q-1) also passes 2**22, every m above 2**22 has such a window
+and is refused before its digits are built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import comb, isqrt, log2
+from math import comb, log2
 
 import numpy as np
 
@@ -31,35 +33,56 @@ from .digits import PrimePower, _digit_array, _require_nonneg, _require_prime, _
 # without a table a direct product of more steps than this is refused
 _FACT_TABLE_MAX = 1 << 22
 
+# the table is built this many units at a time, laid out _BUILD_COLS to a row
+_BUILD_CHUNK = 1 << 16
+_BUILD_COLS = 64
 
-# a table near 2**20 entries holds 8 MB, so only the most recent few stay;
-# eight covers a query mix that interleaves six moduli without rebuilding
+
+# a table holds 4 bytes per unit below p**q: 2 MB at 2**20, 8 MB at 2**22,
+# so only the most recent few stay; eight covers a query mix that
+# interleaves six moduli without rebuilding
 @lru_cache(maxsize=8)
 def _unit_factorial_table(p: int, q: int) -> np.ndarray | None:
-    """table[k] = product of i <= k with p !| i, reduced mod p**q.
+    """table[t] = product of the first t integers coprime to p, mod p**q,
+    for t = 0 ... p**(q-1) (p-1), as int32; k!_p = table[k - k // p] for
+    k < p**q.
 
-    Built in blocks about sqrt(p**q) wide: prefix products along each row,
-    vectorised over all rows, then each row scaled by the product of every
-    row before it.  Entries are below 2**22, so each product fits int64.
+    Built in chunks of 2**16 units, so each int64 working array holds half
+    a MB whatever p and q are: unit number t (from 0) is
+    t + t // (p - 1) + 1.  A chunk fills a (rows, 64) block, stored
+    transposed so that each of the 64 column steps of the prefix products
+    runs over one contiguous row of all block rows.  Each block row is then
+    scaled by the product of every unit before it, from earlier rows and
+    chunks.  Entries are below 2**22, so each product of two fits int64.
     """
     pq = p**q
     if pq > _FACT_TABLE_MAX:
         return None
-    cols = isqrt(pq - 1) + 1
-    rows = -(-pq // cols)
-    table = np.arange(rows * cols, dtype=np.int64)
-    table[::p] = 1  # multiples of p (and 0) contribute nothing
-    block = table.reshape(rows, cols)
-    for j in range(1, cols):
-        block[:, j] *= block[:, j - 1]
-        block[:, j] %= pq
-    carry = [1]
-    for total in block[:-1, -1].tolist():
-        carry.append(carry[-1] * total % pq)
-    block *= np.array(carry, dtype=np.int64)[:, None]
-    block %= pq
+    count = pq // p * (p - 1)
+    table = np.empty(count + 1, dtype=np.int32)
+    table[0] = 1
+    carry = 1
+    for start in range(0, count, _BUILD_CHUNK):
+        size = min(_BUILD_CHUNK, count - start)
+        rows = -(-size // _BUILD_COLS)
+        # only the last chunk runs past the last unit, and its tail is never read
+        t = np.arange(start, start + rows * _BUILD_COLS, dtype=np.int64)
+        t += t // (p - 1) + 1
+        block = np.ascontiguousarray(t.reshape(rows, _BUILD_COLS).T)
+        # x -= x // pq * pq is x %= pq: numpy divides by a scalar much faster
+        for j in range(1, _BUILD_COLS):
+            col = block[j]
+            col *= block[j - 1]
+            col -= col // pq * pq
+        row_carry = []
+        for total in block[-1].tolist():
+            row_carry.append(carry)
+            carry = carry * total % pq
+        block *= np.array(row_carry, dtype=np.int64)
+        block -= block // pq * pq
+        table[start + 1 : start + 1 + size] = block.T.reshape(-1)[:size]
     table.flags.writeable = False  # cached: shared by every caller
-    return table[:pq]
+    return table
 
 
 def _block_unit(p: int, q: int) -> int:
@@ -82,18 +105,32 @@ def factorial_p_mod(n: int, pp: PrimePower) -> int:
     blocks, rem = divmod(n, pq)
     table = _unit_factorial_table(p, q)
     if table is not None:
-        part = int(table[rem])
-    elif rem > _FACT_TABLE_MAX:
+        part = int(table[rem - rem // p])
+    else:
+        _guard_direct_product(n, rem, pp)
+        part = _running_unit_factorials([rem], p, pq)[rem]
+    return pow(_block_unit(p, q), blocks, pq) * part % pq
+
+
+def _guard_direct_product(n: int, rem: int, pp: PrimePower) -> None:
+    if rem > _FACT_TABLE_MAX:
         raise SizeGuardError(
             f"{_shown(n)}!_p mod {pp} needs a direct product of {_shown(rem)} steps, "
             f"over the cap of 2**22 (tables exist only for moduli up to 2**22)"
         )
-    else:
-        part = 1
-        for k in range(1, rem + 1):
-            if k % p:
-                part = part * k % pq
-    return pow(_block_unit(p, q), blocks, pq) * part % pq
+
+
+def _running_unit_factorials(ks: list[int], p: int, pq: int) -> dict[int, int]:
+    """k!_p mod pq for each k in ks, from one running product over the
+    distinct k in increasing order: max(ks) steps in all."""
+    out, acc, done = {}, 1, 0
+    for k in sorted(set(ks)):
+        for i in range(done + 1, k + 1):
+            if i % p:
+                acc = acc * i % pq
+        out[k] = acc
+        done = k
+    return out
 
 
 def lucas_binom_mod_p(m: int, n: int, p: int) -> int:
@@ -164,9 +201,6 @@ def granville_binom_mod_pq(m: int, n: int, pp: PrimePower) -> GranvilleResult:
     if table is None:
         # windows may pass 2**63: the same steps on Python ints
         rows = rows.astype(object)
-        fact = np.frompyfunc(lambda k: factorial_p_mod(k, pp), 1, 1)
-    else:
-        fact = table.__getitem__
     # the "full" correlation's entry width - 1 + i is the window starting at i
     powers = np.array([p**t for t in range(width)], dtype=rows.dtype)
     windows = np.correlate(rows.reshape(-1), powers, "full")[width - 1 :]
@@ -182,9 +216,19 @@ def granville_binom_mod_pq(m: int, n: int, pp: PrimePower) -> GranvilleResult:
     carry_out = int(windows[1, 0]) % pk + int(windows[2, 0]) % pk >= pk
     e_top = e0 - int(low[1] + low[2] - low[0] - carry_out) // (p - 1)
 
+    if table is None:
+        # every window is below p**q; each is refused past 2**22 as a direct
+        # product, else read off one running product up to the largest
+        ks = windows.reshape(-1).tolist()
+        for k in ks:
+            _guard_direct_product(k, k, pp)
+        values = np.frompyfunc(_running_unit_factorials(ks, p, pq).__getitem__, 1, 1)(windows)
+    else:
+        # table entries are int32: widen before any product of two
+        values = table[windows - windows // p].astype(np.int64)
+
     # num = prod M_j!_p and den = prod N_j!_p R_j!_p: halve pairwise down
     # to eight factors a row, then finish on Python ints
-    values = fact(windows)
     values[1] = values[1] * values[2] % pq
     halves = values[:2]
     while halves.shape[1] > 8:

@@ -9,6 +9,7 @@ from pqcat import (
     catalan_residue_mod_pq,
     catalan_valuation,
     divides,
+    exception_values,
 )
 
 
@@ -143,3 +144,16 @@ class TestUnitIdentity:
             assert undivided == family
         for n in family:
             assert catalan_residue_mod_pq(pp, n) == 1
+
+
+class TestPrimeModulus:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_residues_are_zero_or_one(self, p):
+        # q = 1: F(p, n) mod p is 1 exactly on the pure-power exceptions
+        # (p**t - 1) / (p - 1), and 0 everywhere else
+        pp = PrimePower(p, 1)
+        ones = set(exception_values(pp, 3000)) | {0}  # F(p, 0) = 1
+        for n in range(3000):
+            residue = catalan_residue_mod_pq(pp, n)
+            assert residue == comb(p * n, n) // ((p - 1) * n + 1) % p, n
+            assert residue == (1 if n in ones else 0), n

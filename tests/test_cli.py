@@ -207,6 +207,22 @@ class TestExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("pqcat: resource guard: ")
 
+    @pytest.mark.parametrize("m", [
+        2**22 + 2**45 + 2**68,
+        # a window of value 2**r for every r <= 22 at each of the 40 set bits
+        sum(2 ** (22 + 23 * k) for k in range(40)),
+    ], ids=["three-bits", "forty-bits"])
+    def test_above_table_one_running_product(self, m):
+        # no table for 2**23: the windows share one product up to the largest
+        argv = ["granville", "--m", str(m), "--n", "1", "--p", "2", "--q", "23"]
+        started = time.monotonic()
+        proc = subprocess.run([sys.executable, "-m", "pqcat", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert time.monotonic() - started < 10
+        assert proc.returncode == EXIT_OK and proc.stderr == ""
+        # C(m, 1) = m = 2**22 * (1 + a multiple of 2**23)
+        assert json.loads(proc.stdout)["result"] == {"e0": 22, "unit_residue": 1}
+
     def test_huge_q_small_m_answered_at_once(self):
         # windows only as wide as m's digits, not q = 10000
         argv = ["granville", "--m", "100", "--n", "7", "--p", "2", "--q", "10000"]

@@ -214,6 +214,9 @@ class TestGranvilleKernel:
         # around one and several full blocks of the table, with short binomials
         for m in (pp.modulus - 1, pp.modulus, pp.modulus + 1, 3 * pp.modulus + 7):
             pairs += [(m, n) for n in (0, 1, 2, 5, 17)] + [(m, m - 3)]
+        # m anywhere up to three full blocks, n up to 1500 from either end
+        for m in (rng.randrange(3 * pp.modulus + 1) for _ in range(40)):
+            pairs += [(m, rng.randrange(min(m, 1500) + 1)), (m, m - rng.randrange(min(m, 1500) + 1))]
         for m, n in pairs:
             g = granville_binom_mod_pq(m, n, pp)
             assert (g.e0, g.unit_residue) == exact_split(comb(m, n), p, pp.modulus), (m, n)
@@ -240,20 +243,27 @@ class TestGranvilleKernel:
 
 
 class TestUnitFactorialTable:
-    @pytest.mark.parametrize("p,q", [(2, 10), (3, 7), (7, 4)])
+    # (3, 11) and up span several build chunks; at p = 7 chunk edges fall
+    # inside a block of p integers, and at p = 131101 a block spans three
+    @pytest.mark.parametrize("p,q", [(2, 10), (3, 7), (7, 4), (3, 11), (5, 8), (7, 7), (3, 13),
+                                     (131101, 1)])
     def test_matches_prefix_loop(self, p, q):
-        pq = p**q
-        expected = [1] * pq
+        pp = PrimePower(p, q)
+        pq = pp.modulus
         acc = 1
-        for k in range(1, pq):
+        for k in range(pq):
             if k % p:
                 acc = acc * k % pq
-            expected[k] = acc
-        table = _unit_factorial_table(p, q)
-        assert table.dtype == "int64"
-        assert table.tolist() == expected
+            assert factorial_p_mod(k, pp) == acc, k
         # the full block is Gauss' generalized Wilson unit
-        assert expected[-1] == (1 if p == 2 and q >= 3 else pq - 1)
+        assert acc == (1 if p == 2 and q >= 3 else pq - 1)
+        table = _unit_factorial_table(p, q)
+        assert table.dtype == "int32"
+        assert len(table) == p ** (q - 1) * (p - 1) + 1
+
+    def test_large_tables_are_small(self):
+        # one int32 entry per unit below p**q: 2.1 MB and 4.25 MB
+        assert _unit_factorial_table(2, 20).nbytes + _unit_factorial_table(3, 13).nbytes <= 6.4e6
 
     def test_no_table_above_cap(self):
         assert _unit_factorial_table(2, 23) is None
