@@ -53,13 +53,14 @@ def catalan_residue_mod_pq(pp: PrimePower, n: int) -> int:
 
     The denominator is a unit mod p**q, so the residue is the unit part of
     the binomial times p**e0 times the inverse of the denominator; it is 0
-    exactly when e0 >= q.  Only digit-level work, so n may be huge.
+    exactly when e0 >= q.  Since m == 1 (mod p), e0 = v_p(C(m, n)) is
+    v_p(F), so that case is read off the digit-sum valuation before any
+    factorial table is built.  Only digit-level work, so n may be huge.
     """
-    _require_nonneg(n)
+    if catalan_valuation(pp, n) >= pp.q:
+        return 0
     pq = pp.modulus
     m = pq * n + 1
     g = granville_binom_mod_pq(m, n, pp)
-    if g.e0 >= pp.q:
-        return 0
     inv = inverse_mod_pq(m % pq, pp)
     return g.unit_residue * pow(pp.p, g.e0, pq) % pq * inv % pq

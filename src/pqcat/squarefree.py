@@ -7,13 +7,15 @@ m, so only primes r <= isqrt(m) can contribute; the test is exact and
 costs O(pi(sqrt(m)) * log m) with no big-integer arithmetic at all.
 
 The primes come from one shared sieve held as an immutable snapshot
-(covered limit, every prime <= it).  Growth runs an odd-only sieve of
-Eratosthenes on a bytearray, builds a new list and publishes it with a
+(covered limit, every prime <= it).  The primes sit in one array("I"), 4
+bytes a prime instead of a boxed int and a list slot, so a sieve to 2**24
+keeps about 4 MB rather than about 43 MB.  Growth runs an odd-only sieve of
+Eratosthenes on a bytearray, builds a new array and publishes it with a
 single assignment, so threads share the cache without a lock and no reader
-sees a half-grown list.  Threads that grow it at the same time may each
+sees a half-grown array.  Threads that grow it at the same time may each
 sieve; the last assignment wins, and every snapshot is complete.  The
-squarefree test walks the snapshot's list in place and stops at the first
-prime above isqrt(m); only primes_upto hands out a copy.
+squarefree test walks the snapshot's array in place and stops at the first
+prime above isqrt(m); only primes_upto hands out a copy, as a plain list.
 
 For q >= 2 every non-exceptional n has p**q | C(p**q n + 1, n), hence the
 binomial is divisible by p**2 and cannot be squarefree: scanning only the
@@ -25,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import compress
@@ -35,15 +38,17 @@ from .config import SizeGuardError
 from .digits import PrimePower, _shown
 from .exceptions import exception_values
 
-_sieved: tuple[int, list[int]] = (1, [])  # (covered limit, every prime <= it)
+# (covered limit, every prime <= it); array("I") holds every prime below the
+# sieve guard, and extend raises OverflowError rather than truncate one above
+_sieved: tuple[int, array] = (1, array("I"))
 
 
-def _simple_sieve(limit: int) -> list[int]:
-    """Plain odd-only sieve of Eratosthenes."""
+def _simple_sieve(limit: int) -> array:
+    """Plain odd-only sieve of Eratosthenes, as a 4-byte array of primes."""
     if limit < 2:
-        return []
+        return array("I")
     if limit == 2:
-        return [2]
+        return array("I", (2,))
     half = (limit + 1) // 2  # flags for 1, 3, 5, ..., the odds <= limit
     flags = bytearray(b"\x01") * half
     flags[0] = 0
@@ -52,12 +57,14 @@ def _simple_sieve(limit: int) -> list[int]:
             p = 2 * i + 1
             start = p * p // 2
             flags[start::p] = bytes(len(range(start, half, p)))
-    return [2, *compress(range(1, limit + 1, 2), flags)]
+    primes = array("I", (2,))
+    primes.extend(compress(range(1, limit + 1, 2), flags))
+    return primes
 
 
-def _primes_covering(limit: int) -> list[int]:
+def _primes_covering(limit: int) -> array:
     """The snapshot's ascending primes, grown by doubling until they cover
-    every prime <= limit; the list may run past limit and is shared, so
+    every prime <= limit; the array may run past limit and is shared, so
     callers only read it."""
     global _sieved
     if limit > config.DEFAULT_SIEVE_LIMIT:
@@ -75,7 +82,7 @@ def _primes_covering(limit: int) -> list[int]:
 def primes_upto(limit: int) -> list[int]:
     """Ascending primes <= limit, copied from the shared snapshot."""
     primes = _primes_covering(limit)
-    return primes[: bisect_right(primes, limit)]
+    return list(primes[: bisect_right(primes, limit)])
 
 
 def _carries_at_least_two(n: int, r: int, p: int) -> bool:

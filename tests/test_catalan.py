@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from pqcat import modular
 from pqcat import (
     PrimePower,
     SizeGuardError,
@@ -101,6 +102,14 @@ class TestResidue:
     def test_divisible_case_returns_zero(self):
         pp = PrimePower(2, 2)
         assert catalan_residue_mod_pq(pp, 2) == 0
+
+    def test_divisible_case_builds_no_table(self):
+        # v_p(F(4194301, 10**6)) = 1 = q, so the answer is 0 from the digit
+        # sum alone; the Granville kernel would build a 4194301-entry table
+        pp = PrimePower(4194301, 1)
+        before = modular._unit_factorial_table.cache_info()
+        assert catalan_residue_mod_pq(pp, 10**6) == 0
+        assert modular._unit_factorial_table.cache_info() == before
 
     @pytest.mark.parametrize("p,q", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2)])
     def test_matches_exact(self, p, q):

@@ -1,10 +1,13 @@
 import json
 import sys
 import threading
+import tracemalloc
+from array import array
 from math import comb, isqrt
 
 import pytest
 
+from pqcat import config
 from pqcat import (
     PrimePower,
     SizeGuardError,
@@ -100,6 +103,34 @@ class TestPrimes:
     def test_guard(self):
         with pytest.raises(SizeGuardError):
             primes_upto(10**9)
+
+    def test_public_copy_is_a_list(self):
+        expected = trial_division_primes(5000)
+        for k in (0, 1, 2, 3, 4, 97, 1000, 4999, 5000):
+            got = primes_upto(k)
+            assert type(got) is list, k
+            assert got == [p for p in expected if p <= k], k
+
+    def test_snapshot_is_compact(self):
+        import pqcat.squarefree as sq
+
+        tracemalloc.start()
+        try:
+            primes = sq._simple_sieve(2**24)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(primes) == 1077871
+        assert isinstance(primes, array) and primes.itemsize == 4
+        # the 8 MB of odd-only flags plus about 4.3 MB of primes; a list of
+        # boxed ints needs about 50 MB
+        assert peak < 16 * 2**20, peak
+
+    def test_every_prime_under_the_guard_fits(self):
+        # a prime too wide for the snapshot raises, it is never stored truncated
+        assert config.DEFAULT_SIEVE_LIMIT < 2 ** (8 * array("I").itemsize)
+        with pytest.raises(OverflowError):
+            array("I").extend([2 ** (8 * array("I").itemsize)])
 
 
 class TestIsSquarefree:
