@@ -325,6 +325,7 @@ def _cmd_scan(args) -> list[OutputRecord]:
     result = {
         "candidates_tested": report.candidates_tested,
         "squarefree_hits": list(report.squarefree_hits),
+        "witnesses": report.witnesses,
         "elapsed": report.elapsed,
         "checkpoint": report.checkpoint,
     }

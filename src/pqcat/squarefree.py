@@ -2,9 +2,16 @@
 of C(p**q n + 1, n) over the structural exception families.
 
 A prime square r**2 divides C(m, n) iff adding n and m - n in base r
-carries at least twice.  Two carries need at least three base-r digits in
-m, so only primes r <= isqrt(m) can contribute; the test is exact and
-costs O(pi(sqrt(m)) * log m) with no big-integer arithmetic at all.
+carries at least twice (Kummer).  Prime 2 is tried first, from three
+popcounts: base 2 carries s(n) + s(m - n) - s(m) times, with s the number
+of set bits.  That decides almost every scan candidate and needs neither
+primes nor a digit loop.  Only when 2 does not decide are the odd primes
+walked from 3 upwards, counting carries digit by digit.  Two carries need
+at least three base-r digits in m, so only primes r <= isqrt(m) can
+contribute; the walk is exact and costs O(pi(sqrt(m)) * log m) divisions
+of n and m - n by r.  Only the walk needs the sieve, so only it reaches
+the sieve guard: C(m, n) above the guard is answered when 2**2 divides it
+and refused otherwise.
 
 The primes come from one shared sieve held as an immutable snapshot
 (covered limit, every prime <= it).  The primes sit in one array("I"), 4
@@ -19,7 +26,8 @@ prime above isqrt(m); only primes_upto hands out a copy, as a plain list.
 
 For q >= 2 every non-exceptional n has p**q | C(p**q n + 1, n), hence the
 binomial is divisible by p**2 and cannot be squarefree: scanning only the
-enumerated exceptions loses nothing.
+enumerated exceptions loses nothing.  Each scan counts, per prime, how many
+candidates that prime ruled out.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import time
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, islice
 from math import isqrt
 
 from . import config
@@ -101,23 +109,31 @@ def _carries_at_least_two(n: int, r: int, p: int) -> bool:
     return False
 
 
+def _witness(m: int, n: int) -> int | None:
+    """The least prime r with r**2 | C(m, n), or None when C(m, n) is
+    squarefree; needs 0 <= n <= m."""
+    r_part = m - n
+    if n.bit_count() + r_part.bit_count() - m.bit_count() >= 2:
+        return 2
+    root = isqrt(m)
+    for p in islice(_primes_covering(root), 1, None):
+        if p > root:
+            break
+        if _carries_at_least_two(n, r_part, p):
+            return p
+    return None
+
+
 def is_squarefree_binom(m: int, n: int) -> bool:
     """Exact squarefreeness of C(m, n) by per-prime carry counting.
 
     Equivalent to checking kummer_carries(n, m - n, r) <= 1 for every prime
     r <= m; primes above isqrt(m) cannot carry twice, so only the small
-    ones are visited.
+    ones are visited, and those only when 2**2 does not divide C(m, n).
     """
     if n < 0 or n > m:
         raise ValueError(f"need 0 <= n <= m, got m={_shown(m)} n={_shown(n)}")
-    root = isqrt(m)
-    r_part = m - n
-    for p in _primes_covering(root):
-        if p > root:
-            break
-        if _carries_at_least_two(n, r_part, p):
-            return False
-    return True
+    return _witness(m, n) is None
 
 
 @dataclass(frozen=True)
@@ -130,6 +146,10 @@ class ScanReport:
     squarefree_hits: tuple[int, ...]
     elapsed: float = field(compare=False)
     checkpoint: int  # last n processed; 0 when nothing was scanned
+    # (prime, candidates it ruled out) in ascending prime order, over the
+    # candidates this run tested; the counts plus this run's hits make
+    # candidates_tested (hits resumed from a checkpoint are not counted)
+    witnesses: tuple[tuple[int, int], ...]
 
 
 def _write_checkpoint(path: str, pp: PrimePower, bound: int, last_n: int, hits: list[int]) -> None:
@@ -215,9 +235,13 @@ def scan_candidates(
     resume_from = min(resume_from, bound)  # reported checkpoint stays <= bound
 
     last = resume_from
+    ruled_out: dict[int, int] = {}
     for i, n in enumerate(todo):
-        if is_squarefree_binom(pp.modulus * n + 1, n):
+        r = _witness(pp.modulus * n + 1, n)
+        if r is None:
             hits.append(n)
+        else:
+            ruled_out[r] = ruled_out.get(r, 0) + 1
         last = n
         if checkpoint_path and (i + 1) % 512 == 0:
             _write_checkpoint(checkpoint_path, pp, bound, last, hits)
@@ -231,6 +255,7 @@ def scan_candidates(
         squarefree_hits=tuple(sorted(set(hits))),
         elapsed=time.monotonic() - started,
         checkpoint=last,
+        witnesses=tuple(sorted(ruled_out.items())),
     )
 
 

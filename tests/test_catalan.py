@@ -111,6 +111,14 @@ class TestResidue:
         assert catalan_residue_mod_pq(pp, 10**6) == 0
         assert modular._unit_factorial_table.cache_info() == before
 
+    def test_q1_unit_case_builds_no_table(self):
+        # v_p(F(4194301, 1)) = 0, so the residue is C(m, 1) mod p = m mod p,
+        # read off by Lucas; the Granville kernel would build the table
+        pp = PrimePower(4194301, 1)
+        before = modular._unit_factorial_table.cache_info()
+        assert catalan_residue_mod_pq(pp, 1) == 1
+        assert modular._unit_factorial_table.cache_info() == before
+
     @pytest.mark.parametrize("p,q", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2)])
     def test_matches_exact(self, p, q):
         pp = PrimePower(p, q)

@@ -64,6 +64,8 @@ class TestDispatch:
     def test_scan(self, capsys):
         code, recs = run_lines(capsys, ["scan", "--p", "2", "--q", "2", "--bound", "100"])
         assert recs[0]["result"]["squarefree_hits"] == [1, 3, 45]
+        # 10 candidates: 3 hits, and the primes that ruled out the other 7
+        assert recs[0]["result"]["witnesses"] == [[3, 5], [7, 1], [13, 1]]
         assert set(recs[0]["inputs"]) == {"bound", "exhaustive", "p", "q"}
 
     def test_scan_checkpoint_echoed(self, capsys, tmp_path):

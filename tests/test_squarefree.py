@@ -17,6 +17,7 @@ from pqcat import (
     scan_candidates,
     verify_divisibility_filter,
 )
+from pqcat.squarefree import _carries_at_least_two, _witness
 
 
 def trial_division_primes(limit: int) -> list[int]:
@@ -160,6 +161,62 @@ class TestIsSquarefree:
             m = rng.randrange(2, 2001)
             n = rng.randrange(0, m + 1)
             assert is_squarefree_binom(m, n) == squarefree_by_factorization(m, n, primes), (m, n)
+
+
+def least_square_prime(m: int, n: int, primes: list[int]) -> int | None:
+    """The least prime r with r**2 | C(m, n), by trial division of the exact
+    binomial; `primes` must hold every prime <= m."""
+    c = comb(m, n)
+    return next((r for r in primes if r <= m and c % (r * r) == 0), None)
+
+
+class TestWitness:
+    def test_least_square_prime_divisor(self):
+        primes = trial_division_primes(300)
+        for m in range(0, 301):
+            for n in range(0, m + 1):
+                assert _witness(m, n) == least_square_prime(m, n, primes), (m, n)
+
+    def test_popcount_branch_matches_carry_walk(self):
+        # every m < 2**12; a stride of 13 over n keeps the walk to ~650,000 pairs
+        for m in range(1 << 12):
+            for n in range(m % 13, m + 1, 13):
+                assert (_witness(m, n) == 2) == _carries_at_least_two(n, m - n, 2), (m, n)
+
+    def test_prime_two_needs_no_sieve(self):
+        # 2**200 + (3 * 2**200 + 1) carries twice in base 2, so no prime up
+        # to isqrt(m) ~ 2**101 is needed; the parent refused it at the guard
+        assert is_squarefree_binom(2**202 + 1, 2**200) is False
+        with pytest.raises(SizeGuardError):
+            is_squarefree_binom(2**200 + 1, 1)  # 2 carries once: the walk needs primes
+
+    def test_scan_tally_matches_oracle(self):
+        pp = PrimePower(2, 2)
+        primes = trial_division_primes(4 * 300 + 1)
+        expected: dict[int, int] = {}
+        for n in range(1, 301):
+            r = least_square_prime(4 * n + 1, n, primes)
+            if r is not None:
+                expected[r] = expected.get(r, 0) + 1
+        assert scan_candidates(pp, 300, exhaustive=True).witnesses == tuple(sorted(expected.items()))
+
+    @pytest.mark.parametrize("p,q", [(2, 2), (3, 2)])
+    def test_tally_invariant_across_a_resume(self, p, q, tmp_path):
+        pp = PrimePower(p, q)
+        full = scan_candidates(pp, 10**4, exhaustive=True)
+        primes = [r for r, _ in full.witnesses]
+        assert primes == sorted(set(primes))
+        assert sum(c for _, c in full.witnesses) + len(full.squarefree_hits) == full.candidates_tested
+
+        path = str(tmp_path / "scan.json")
+        first = scan_candidates(pp, 5000, exhaustive=True, checkpoint_path=path)
+        resumed = scan_candidates(pp, 10**4, exhaustive=True, checkpoint_path=path)
+        new_hits = [h for h in resumed.squarefree_hits if h > first.checkpoint]
+        assert sum(c for _, c in resumed.witnesses) + len(new_hits) == resumed.candidates_tested
+        merged = dict(first.witnesses)
+        for r, c in resumed.witnesses:
+            merged[r] = merged.get(r, 0) + c
+        assert tuple(sorted(merged.items())) == full.witnesses
 
 
 class TestScan:
