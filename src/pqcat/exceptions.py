@@ -199,7 +199,11 @@ def exception_values(pp: PrimePower, bound: int) -> list[int]:
         xs.extend(partial)
     # digit expansions are unique, so no X repeats; xs[0] is X = 1 (n = 0)
     xs.sort()
-    return [(x - 1) // mod for x in xs[1:]]
+    del xs[0]
+    # X -> n in place, so the answer is never held twice
+    for i, x in enumerate(xs):
+        xs[i] = (x - 1) // mod
+    return xs
 
 
 def _form_of(pp: PrimePower, n: int) -> Form:

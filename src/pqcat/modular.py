@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import comb, log2
+from math import log2
 
 import numpy as np
 
@@ -136,21 +136,27 @@ def _running_unit_factorials(ks: list[int], p: int, pq: int) -> dict[int, int]:
 def lucas_binom_mod_p(m: int, n: int, p: int) -> int:
     """C(m, n) mod p as the product of the digitwise binomials C(m_i, n_i).
 
-    n > m is allowed and gives 0, matching the vanishing binomial.
+    Each digit binomial is the k falling factors of m_i over k!, with
+    k = min(n_i, m_i - n_i) < p, so k! is a unit mod p: the numerators and
+    the factorials of every digit are multiplied mod p, and one inverse
+    divides them out.  n > m is allowed and gives 0, matching the vanishing
+    binomial.
     """
     _require_prime(p)
     _require_nonneg(m, "m")
     _require_nonneg(n)
-    out = 1
+    num = den = 1
     while m or n:
         mi = m % p
         ni = n % p
         if ni > mi:
             return 0
-        out = out * comb(mi, ni) % p
+        for j in range(min(ni, mi - ni)):
+            num = num * (mi - j) % p
+            den = den * (j + 1) % p
         m //= p
         n //= p
-    return out
+    return num * pow(den, -1, p) % p
 
 
 @dataclass(frozen=True)

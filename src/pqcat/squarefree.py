@@ -17,10 +17,11 @@ The primes come from one shared sieve held as an immutable snapshot
 (covered limit, every prime <= it).  The primes sit in one array("I"), 4
 bytes a prime instead of a boxed int and a list slot, so a sieve to 2**24
 keeps about 4 MB rather than about 43 MB.  Growth runs an odd-only sieve of
-Eratosthenes on a bytearray, builds a new array and publishes it with a
-single assignment, so threads share the cache without a lock and no reader
-sees a half-grown array.  Threads that grow it at the same time may each
-sieve; the last assignment wins, and every snapshot is complete.  The
+Eratosthenes in blocks of 128 KB of flags, so its peak is the new array
+plus one block.  It publishes the array with a single assignment, so
+threads share the cache without a lock and no reader sees a half-grown
+array.  Threads that grow it at the same time may each sieve; the last
+assignment wins, and every snapshot is complete.  The
 squarefree test walks the snapshot's array in place and stops at the first
 prime above isqrt(m); only primes_upto hands out a copy, as a plain list.
 
@@ -51,22 +52,36 @@ from .exceptions import exception_values
 _sieved: tuple[int, array] = (1, array("I"))
 
 
+# odd numbers per sieve block, so one block's flags take 128 KB
+_BLOCK = 1 << 17
+
+
 def _simple_sieve(limit: int) -> array:
-    """Plain odd-only sieve of Eratosthenes, as a 4-byte array of primes."""
+    """Odd-only sieve of Eratosthenes, as a 4-byte array of primes.
+
+    Flag i stands for the odd number 2i + 1.  The flags are made _BLOCK at
+    a time, each block marked by the odd primes <= isqrt(limit), which come
+    from this function on that small limit; so the peak is the array plus
+    one block.
+    """
     if limit < 2:
         return array("I")
-    if limit == 2:
-        return array("I", (2,))
+    base = _simple_sieve(isqrt(limit))
     half = (limit + 1) // 2  # flags for 1, 3, 5, ..., the odds <= limit
-    flags = bytearray(b"\x01") * half
-    flags[0] = 0
-    for i in range(1, (isqrt(limit) + 1) // 2 + 1):
-        if flags[i]:
-            p = 2 * i + 1
-            start = p * p // 2
-            flags[start::p] = bytes(len(range(start, half, p)))
     primes = array("I", (2,))
-    primes.extend(compress(range(1, limit + 1, 2), flags))
+    for lo in range(0, half, _BLOCK):
+        size = min(_BLOCK, half - lo)
+        flags = bytearray(b"\x01") * size
+        if lo == 0:
+            flags[0] = 0  # 1 is not prime
+        for p in islice(base, 1, None):
+            start = p * p // 2 - lo  # flag of p*p: a smaller multiple has a smaller factor
+            if start >= size:
+                break
+            if start < 0:
+                start %= p  # the block's first odd multiple of p
+            flags[start::p] = bytes(len(range(start, size, p)))
+        primes.extend(compress(range(2 * lo + 1, 2 * (lo + size), 2), flags))
     return primes
 
 

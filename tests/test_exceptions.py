@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -179,6 +180,20 @@ class TestExceptionValues:
             exception_values(pp, 10**6)
         with pytest.raises(SizeGuardError):
             exception_values(PrimePower(2, 2), 2**100000)
+
+    def test_answer_is_held_once(self):
+        # the X values become n in place: the peak is the answer plus the
+        # sort's scratch; a second list of the answer's length reads 2.26x
+        pp = PrimePower(3, 3)
+        exception_values(pp, 10)  # class tables and imports, outside the trace
+        tracemalloc.start()
+        try:
+            answer = exception_values(pp, 10**20)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(answer) == 80465
+        assert peak < 1.6 * held, (peak, held)
 
 
 def class_multisets(p: int, q: int) -> set[tuple[int, ...]]:

@@ -1,4 +1,7 @@
+import json
 import random
+import subprocess
+import sys
 from math import comb
 
 import pytest
@@ -82,6 +85,19 @@ class TestLucas:
             for n in range(0, m + 1):
                 assert lucas_binom_mod_p(m, n, p) == row % p
                 row = row * (m - n) // (n + 1)
+
+    def test_large_prime_digits(self):
+        # C(p - 1, k) = (-1)**k mod p shares no code with the digit product;
+        # a child process, so an exact C(m_i, n_i) of a million digits fails
+        # the timeout instead of hanging the suite
+        p, ks = 4194301, (2097150, 2097149)
+        code = (
+            "from pqcat import lucas_binom_mod_p\n"
+            f"print([lucas_binom_mod_p({p - 1}, k, {p}) for k in {ks}])"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [(-1) ** k % p for k in ks]
 
 
 class TestGranville:

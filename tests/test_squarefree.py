@@ -3,6 +3,7 @@ import sys
 import threading
 import tracemalloc
 from array import array
+from bisect import bisect_right
 from math import comb, isqrt
 
 import pytest
@@ -112,6 +113,17 @@ class TestPrimes:
             assert type(got) is list, k
             assert got == [p for p in expected if p <= k], k
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 8, 64])
+    def test_blocks_of_any_size(self, monkeypatch, block):
+        # tiny blocks put block edges, and the edge at isqrt(limit), everywhere
+        import pqcat.squarefree as sq
+
+        monkeypatch.setattr(sq, "_BLOCK", block)
+        expected = trial_division_primes(3000)
+        for limit in range(0, 3001):
+            got = sq._simple_sieve(limit)
+            assert got == array("I", expected[: bisect_right(expected, limit)]), limit
+
     def test_snapshot_is_compact(self):
         import pqcat.squarefree as sq
 
@@ -123,9 +135,10 @@ class TestPrimes:
             tracemalloc.stop()
         assert len(primes) == 1077871
         assert isinstance(primes, array) and primes.itemsize == 4
-        # the 8 MB of odd-only flags plus about 4.3 MB of primes; a list of
-        # boxed ints needs about 50 MB
-        assert peak < 16 * 2**20, peak
+        # about 4.3 MB of primes plus one 128 KB block of flags; a flag for
+        # every odd number up to 2**24 (8 MB) or a list of boxed ints (about
+        # 50 MB) fails the bound
+        assert peak < primes.itemsize * len(primes) + 2**20, peak
 
     def test_every_prime_under_the_guard_fits(self):
         # a prime too wide for the snapshot raises, it is never stored truncated
