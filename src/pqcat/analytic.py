@@ -9,7 +9,9 @@ p**q <= 99999).  All evaluation uses interval arithmetic with outward
 rounding, so every reported comparison is decisive at the working
 precision; an indeterminate comparison escalates the precision and, past
 the cap, raises PrecisionError rather than guessing; a starting precision
-outside 64..PRECISION_CAP bits is refused up front.
+outside 64..PRECISION_CAP bits is refused up front.  Each precision has
+its own interval context, handed to every evaluation as an argument, so
+no mpmath global is read or set and concurrent callers do not interfere.
 
 find_tau0 brackets the crossing between consecutive powers of two and
 proves, by a monotonicity lemma checked once at the crossing, that the
@@ -24,11 +26,13 @@ specialized_constants.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from mpmath import iv, mp
+import mpmath
+from mpmath import mp
+from mpmath.libmp import to_int
 
 from . import config
 from .config import PrecisionError, ThresholdSearchError
@@ -79,22 +83,22 @@ class InequalityInstance:
         object.__setattr__(self, "precision", bits)
 
 
-@contextmanager
-def _workprec(bits: int):
-    old = iv.prec
-    iv.prec = bits
-    try:
-        yield
-    finally:
-        iv.prec = old
+# one escalation from 64 to PRECISION_CAP bits passes through at most 7
+# precisions; a context takes 28-44 KB
+@lru_cache(maxsize=8)
+def _context(bits: int):
+    """A private mpmath interval context fixed at the given precision."""
+    ctx = type(mpmath.iv)()
+    ctx.prec = bits
+    return ctx
 
 
-def _frac(x: Fraction):
+def _frac(iv, x: Fraction):
     return iv.mpf(x.numerator) / iv.mpf(x.denominator)
 
 
-def _pow_frac(base, exponent: Fraction):
-    return iv.exp(_frac(exponent) * iv.log(base))
+def _pow_frac(iv, base, exponent: Fraction):
+    return iv.exp(_frac(iv, exponent) * iv.log(base))
 
 
 def _endpoint(x, upper: bool):
@@ -114,17 +118,17 @@ def _specialized(pp: PrimePower) -> tuple[Fraction, Fraction, int]:
     return _SPECIALIZED[key]
 
 
-def _log(c: InequalityConstants, x):
+def _log(iv, c: InequalityConstants, x):
     y = iv.log(x)
     return y if c.natural_log else y / iv.log(iv.mpf(10))
 
 
-def _shape(inst: InequalityInstance, form: str):
+def _shape(iv, inst: InequalityInstance, form: str):
     """(C, k, c, D) of the right side in its one shape,
 
         rhs = C n**exp_n L**exp_log + 3 c_tail log n + D,   L = log(k n + c),
 
-    with C and D intervals at the working precision and k, c ints.  The
+    with C and D intervals in the context iv and k, c ints.  The
     general form has C = c_main p**(q exp_n), k = log_scale (p**q - 1),
     c = log_scale and D = 2q c_tail log p; the specialized one takes C, D
     and k from _SPECIALIZED, with c = 1.
@@ -132,21 +136,21 @@ def _shape(inst: InequalityInstance, form: str):
     const = inst.constants
     p, q = inst.pp.p, inst.pp.q
     if form == "general":
-        C = _frac(const.c_main) * _pow_frac(iv.mpf(p), const.exp_n * q)
-        D = _frac(2 * q * const.c_tail) * _log(const, iv.mpf(p))
+        C = _frac(iv, const.c_main) * _pow_frac(iv, iv.mpf(p), const.exp_n * q)
+        D = _frac(iv, 2 * q * const.c_tail) * _log(iv, const, iv.mpf(p))
         return C, const.log_scale * (inst.pp.modulus - 1), const.log_scale, D
     if form == "specialized":
         c_main, c_tail, scale = _specialized(inst.pp)
-        return _frac(c_main), scale, 1, _frac(c_tail)
+        return _frac(iv, c_main), scale, 1, _frac(iv, c_tail)
     raise ValueError(f"unknown form {form!r}")
 
 
 def _escalate(bits: int, attempt, failure: str):
-    """attempt() at the given precision, doubling it until the attempt is
-    decisive (returns anything but None); past the cap, PrecisionError."""
+    """attempt(iv) in the interval context of the given precision, doubling
+    it until the attempt is decisive (returns anything but None); past the
+    cap, PrecisionError."""
     while bits <= config.PRECISION_CAP:
-        with _workprec(bits):
-            found = attempt()
+        found = attempt(_context(bits))
         if found is not None:
             return found
         bits *= 2
@@ -160,13 +164,14 @@ def _sides_interval(inst: InequalityInstance, n: int, form: str):
     c = inst.constants
     pq = inst.pp.modulus
 
-    def attempt():
-        a = _frac(c.alpha)
+    def attempt(iv):
+        a = _frac(iv, c.alpha)
         lhs = (1 - a) * iv.sqrt(iv.mpf(pq * n + 1)) - (1 + a) * iv.sqrt(iv.mpf((pq - 1) * n + 1))
-        C, k, c0, D = _shape(inst, form)
+        C, k, c0, D = _shape(iv, inst, form)
         n_iv = iv.mpf(n)
-        main = C * _pow_frac(n_iv, c.exp_n) * _log(c, iv.mpf(k * n + c0)) ** _frac(c.exp_log)
-        rhs = main + (3 * _frac(c.c_tail) * _log(c, n_iv) + D)
+        main = (C * _pow_frac(iv, n_iv, c.exp_n)
+                * _log(iv, c, iv.mpf(k * n + c0)) ** _frac(iv, c.exp_log))
+        rhs = main + (3 * _frac(iv, c.c_tail) * _log(iv, c, n_iv) + D)
         gt, lt = lhs > rhs, lhs < rhs
         return (lhs, rhs, bool(gt)) if gt or lt else None
 
@@ -253,11 +258,11 @@ def find_tau0(
     half = Fraction(1, 2)
     if hi >= 3 and c.alpha >= 0 and c.c_tail >= 0 and c.exp_log >= 0 and c.exp_n < half:
         bound = c.exp_log / (half - c.exp_n)
-        with _workprec(inst.precision):
-            C, k, c0, D = _shape(inst, form)
-            if (C > 0 and k > 0 and c0 > 0 and D >= 0
-                    and _log(c, iv.mpf(k * (1 << hi) + c0)) > _frac(bound)):
-                return hi
+        iv = _context(inst.precision)
+        C, k, c0, D = _shape(iv, inst, form)
+        if (C > 0 and k > 0 and c0 > 0 and D >= 0
+                and _log(iv, c, iv.mpf(k * (1 << hi) + c0)) > _frac(iv, bound)):
+            return hi
     raise ThresholdSearchError(
         f"cannot prove that the inequality holds above 2**{hi} for {inst.pp}: "
         f"n0 < 8, or the constants or L(n0) fall outside the monotonicity lemma"
@@ -274,11 +279,9 @@ def tau1(pp: PrimePower, tau0: int) -> int:
 
 
 def _ceil_exp60_quotient(denominator: int) -> int:
-    def attempt():
+    def attempt(iv):
         x = (iv.exp(iv.mpf(60)) - 1) / iv.mpf(denominator)
-        with mp.workprec(iv.prec + 16):  # mp.ceil rounds to mp.prec
-            lo = int(mp.ceil(_endpoint(x, upper=False)))
-            hi = int(mp.ceil(_endpoint(x, upper=True)))
+        lo, hi = (to_int(end, "c") for end in x._mpi_)  # exact ceilings
         return lo if lo == hi else None
 
     return _escalate(128, attempt, "could not pin ceil((e**60 - 1)/denominator)")

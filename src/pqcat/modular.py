@@ -1,9 +1,10 @@
 """Binomial coefficients modulo p and modulo p**q.
 
-Lucas' digitwise product handles the prime modulus.  The prime-power case
-(Granville's congruence) splits C(m, n) into p**e0 times a unit and takes
-the unit from the p-free factorials k!_p (the product of all i <= k coprime
-to p) of q-digit windows of m, n and m - n.  The whole computation is array
+Lucas' digitwise product handles the prime modulus, up to 2**22
+multiplications in all.  The prime-power case (Granville's congruence)
+splits C(m, n) into p**e0 times a unit and takes the unit from the p-free
+factorials k!_p (the product of all i <= k coprime to p) of q-digit
+windows of m, n and m - n.  The whole computation is array
 work: the base-p digits come from `digits._digit_array`, e0 and the sign
 from digit sums, every window from one sliding dot product with
 [1, p, ..., p**(w-1)], w = min(q, bits(m) + 1), and the window factorials
@@ -140,18 +141,28 @@ def lucas_binom_mod_p(m: int, n: int, p: int) -> int:
     k = min(n_i, m_i - n_i) < p, so k! is a unit mod p: the numerators and
     the factorials of every digit are multiplied mod p, and one inverse
     divides them out.  n > m is allowed and gives 0, matching the vanishing
-    binomial.
+    binomial.  A digit whose products would take the total past 2**22
+    multiplications (two per falling factor) is refused with SizeGuardError
+    before its first one.
     """
     _require_prime(p)
     _require_nonneg(m, "m")
     _require_nonneg(n)
     num = den = 1
+    budget = _FACT_TABLE_MAX
     while m or n:
         mi = m % p
         ni = n % p
         if ni > mi:
             return 0
-        for j in range(min(ni, mi - ni)):
+        k = min(ni, mi - ni)
+        budget -= 2 * k
+        if budget < 0:
+            raise SizeGuardError(
+                f"C(m, n) mod {_shown(p)} needs more than 2**22 multiplications "
+                f"in its digit products"
+            )
+        for j in range(k):
             num = num * (mi - j) % p
             den = den * (j + 1) % p
         m //= p

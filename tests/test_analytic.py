@@ -1,5 +1,7 @@
+import threading
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from pqcat import analytic
@@ -106,6 +108,38 @@ class TestSides:
             inequality_sides(inst, 100, form="specialized")
 
 
+class TestMpmathGlobals:
+    def test_results_ignore_a_thread_resetting_mpmath_precision(self):
+        # every evaluation runs in a context of its own precision, so a
+        # thread that keeps setting mpmath's shared precisions changes no
+        # endpoint and no ceiling
+        inst = InequalityInstance(PrimePower(2, 2), precision=256)
+        moduli = [PrimePower(p, 2) for p in (2, 3, 5, 7)]
+
+        def results():
+            sides = [inequality_sides(inst, 2**e) for e in range(100, 2091, 10)]
+            return sides, [tau1(pp, 0) for pp in moduli]
+
+        expected = results()
+        saved = mpmath.iv.prec, mpmath.mp.prec
+        stop = threading.Event()
+
+        def reset_globals():
+            while not stop.is_set():
+                mpmath.iv.prec = 53
+                mpmath.mp.prec = 53
+
+        thread = threading.Thread(target=reset_globals, daemon=True)
+        thread.start()
+        try:
+            got = results()
+        finally:
+            stop.set()
+            thread.join()
+            mpmath.iv.prec, mpmath.mp.prec = saved
+        assert got == expected
+
+
 class TestTau0:
     def test_crossover_2_2(self):
         inst = InequalityInstance(PrimePower(2, 2))
@@ -198,6 +232,18 @@ class TestTau1:
         assert tau1(PrimePower(3, 2), 0) == (e60_floor - 1) // 8 + 1
         assert tau1(PrimePower(2, 2), 0) == max((e60_floor - 1) // 3 + 1, 10**10)
         assert tau1(PrimePower(5, 2), 0) == max((e60_floor - 1) // 24 + 1, 5**10 * 5**10)
+        # the first term on its own, for every modulus of the theorem; above
+        # p**q ~ 1500 the second term of tau1 hides it
+        flags = bytearray([1]) * 100000
+        flags[:2] = b"\0\0"
+        for i in range(2, 317):
+            if flags[i]:
+                flags[i * i::i] = bytes(len(range(i * i, 100000, i)))
+        moduli = [p**q for p in range(100000) if flags[p]
+                  for q in range(1, 17) if p**q <= 99999]
+        assert len(moduli) == 9592 + 108
+        for d in moduli:
+            assert analytic._ceil_exp60_quotient(d - 1) == (e60_floor - 1) // (d - 1) + 1, d
 
     def test_second_term_identity(self):
         # 5**10 p**(5q): for (3,2) this is 15**10
@@ -228,22 +274,22 @@ class TestSpecializedConstants:
         # with 26.04 (it equals 21.683 * 3**(1/6) instead)
         from mpmath import mp, mpf
 
-        mp.prec = 120
-        general = mpf(21683) / 1000
-        derived22 = general * mpf(2) ** (mpf(46) / 48)
-        assert abs(derived22 - mpf("42.1311")) / mpf("42.1311") < 5e-4  # 4 sig figs
-        derived32 = general * mpf(3) ** (mpf(46) / 48)
-        assert abs(derived32 - mpf("26.04")) / mpf("26.04") > 1  # off by > 2x
-        alt32 = general * mpf(3) ** (mpf(1) / 6)
-        assert abs(alt32 - mpf("26.04")) / mpf("26.04") < 1e-4
+        with mp.workprec(120):
+            general = mpf(21683) / 1000
+            derived22 = general * mpf(2) ** (mpf(46) / 48)
+            assert abs(derived22 - mpf("42.1311")) / mpf("42.1311") < 5e-4  # 4 sig figs
+            derived32 = general * mpf(3) ** (mpf(46) / 48)
+            assert abs(derived32 - mpf("26.04")) / mpf("26.04") > 1  # off by > 2x
+            alt32 = general * mpf(3) ** (mpf(1) / 6)
+            assert abs(alt32 - mpf("26.04")) / mpf("26.04") < 1e-4
 
     def test_tail_constants_are_decimal_logs(self):
         # both equal (11/8) * 2q * log10(p) to all printed digits
         from mpmath import log, mp, mpf
 
-        mp.prec = 120
-        assert abs(mpf("5.5") * log(2) / log(10) - mpf("1.65566")) < 5e-6
-        assert abs(mpf("5.5") * log(3) / log(10) - mpf("2.62417")) < 5e-6
+        with mp.workprec(120):
+            assert abs(mpf("5.5") * log(2) / log(10) - mpf("1.65566")) < 5e-6
+            assert abs(mpf("5.5") * log(3) / log(10) - mpf("2.62417")) < 5e-6
 
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError):

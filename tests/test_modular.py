@@ -99,6 +99,17 @@ class TestLucas:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [(-1) ** k % p for k in ks]
 
+    def test_large_digit_products_refused(self):
+        # one digit of 50,000,003 falling factors: refused before any product
+        p = 100000007
+        with pytest.raises(SizeGuardError, match="2\\*\\*22"):
+            lucas_binom_mod_p(p - 1, (p - 1) // 2, p)
+        # two digits of 2,097,150 factors each: every digit fits, their sum
+        # does not
+        p, k = 4194301, 2097150
+        with pytest.raises(SizeGuardError):
+            lucas_binom_mod_p((p - 1) * (p + 1), k * (p + 1), p)
+
 
 class TestGranville:
     def test_corrected_example(self):
