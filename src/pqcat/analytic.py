@@ -32,7 +32,6 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import to_int
 
 from . import config
 from .config import PrecisionError, ThresholdSearchError
@@ -269,22 +268,18 @@ def find_tau0(
     )
 
 
+# floor(e**60); e**60 is irrational, so for every d >= 1
+# ceil((e**60 - 1) / d) = (floor(e**60) - 1) // d + 1
+_FLOOR_EXP60 = 114200738981568428366295718
+
+
 def tau1(pp: PrimePower, tau0: int) -> int:
     """max(ceil((e**60 - 1) / (p**q - 1)), 5**10 * p**(5q), tau0), exactly."""
     if tau0 < 0:
         raise ValueError(f"tau0 must be >= 0, got {tau0}")
-    first = _ceil_exp60_quotient(pp.modulus - 1)
+    first = (_FLOOR_EXP60 - 1) // (pp.modulus - 1) + 1
     second = 5**10 * pp.p ** (5 * pp.q)
     return max(first, second, tau0)
-
-
-def _ceil_exp60_quotient(denominator: int) -> int:
-    def attempt(iv):
-        x = (iv.exp(iv.mpf(60)) - 1) / iv.mpf(denominator)
-        lo, hi = (to_int(end, "c") for end in x._mpi_)  # exact ceilings
-        return lo if lo == hi else None
-
-    return _escalate(128, attempt, "could not pin ceil((e**60 - 1)/denominator)")
 
 
 def specialized_constants(pp: PrimePower) -> tuple[Fraction, Fraction]:

@@ -12,7 +12,7 @@ from math import comb
 
 from .config import DEFAULT_EXACT_LIMIT, SizeGuardError
 from .digits import PrimePower, _require_nonneg, _shown, sigma_p
-from .modular import granville_binom_mod_pq, inverse_mod_pq, lucas_binom_mod_p
+from .modular import granville_binom_mod_pq, lucas_binom_mod_p
 
 
 def catalan_exact(s: int, n: int) -> int:
@@ -49,22 +49,21 @@ def divides(pp: PrimePower, n: int) -> bool:
 
 
 def catalan_residue_mod_pq(pp: PrimePower, n: int) -> int:
-    """F(p**q, n) mod p**q, via F = C(p**q n + 1, n) / (p**q n + 1).
+    """F(p**q, n) mod p**q, as C(m, n) mod p**q with m = p**q n + 1.
 
-    The denominator is a unit mod p**q, so the residue is the unit part of
-    the binomial times p**e0 times the inverse of the denominator; it is 0
-    exactly when e0 >= q.  Since m == 1 (mod p), e0 = v_p(C(m, n)) is
-    v_p(F), so that case is read off the digit-sum valuation before any
-    factorial table is built.  For q = 1 the residue is then C(m, n) mod p
-    by Lucas's digitwise product, again with no table.  Only digit-level
-    work, so n may be huge.
+    F = C(m, n) / m, and m == 1 (mod p**q), so dividing by m is the
+    identity mod p**q and needs no inverse: the residue is the unit part
+    of the binomial times p**e0, 0 exactly when e0 >= q.  As m is a unit,
+    e0 = v_p(C(m, n)) is v_p(F), so that case is read off the digit-sum
+    valuation before any factorial table is built.  For q = 1 the residue
+    is then C(m, n) mod p by Lucas's digitwise product, again with no
+    table.  Only digit-level work, so n may be huge.
     """
     if catalan_valuation(pp, n) >= pp.q:
         return 0
     pq = pp.modulus
     m = pq * n + 1
-    if pp.q == 1:  # m == 1 (mod p), so F == C(m, n) (mod p)
+    if pp.q == 1:
         return lucas_binom_mod_p(m, n, pp.p)
     g = granville_binom_mod_pq(m, n, pp)
-    inv = inverse_mod_pq(m % pq, pp)
-    return g.unit_residue * pow(pp.p, g.e0, pq) % pq * inv % pq
+    return g.unit_residue * pow(pp.p, g.e0, pq) % pq

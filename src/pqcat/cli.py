@@ -22,6 +22,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, is_dataclass
+from math import floor, log10
 
 from . import config
 from .config import SizeGuardError
@@ -228,10 +229,43 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _num(x) -> str:
-    from mpmath import mp, nstr
+def _num(x, up: bool) -> str:
+    """The real x (an mpmath mpf) to 17 significant digits, rounded up or
+    down, laid out as nstr(x, 17) lays it out: fixed point for a leading
+    digit at 10**-4 ... 10**16, trailing zeros stripped.
 
-    return nstr(mp.mpf(x), 17)
+    Exact integer arithmetic on x's binary mantissa and exponent, so the
+    digits lean the stated way whatever mpmath's precision, and no decimal
+    expansion of x as a whole is built.
+    """
+    sign, man, exp, _ = x._mpf_
+    if not man:
+        return "0.0"
+    up = up != bool(sign)  # the way to round |x|
+    num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    # |x| lies in [10**e, 10**(e+1)); the float guess of e may be one off
+    e = floor(log10(man) + exp * log10(2))
+    while True:
+        a, b = (num * 10 ** (16 - e), den) if e <= 16 else (num, den * 10 ** (e - 16))
+        digits, rem = divmod(a, b)
+        if digits >= 10**17:
+            e += 1
+        elif digits < 10**16:
+            e -= 1
+        else:
+            break
+    if up and rem:
+        digits += 1
+        if digits == 10**17:  # 99...9 rounded up
+            digits, e = 10**16, e + 1
+    text = str(digits)
+    if -5 < e < 17:
+        text = "0" * -e + text
+        split, suffix = max(e, 0) + 1, ""
+    else:
+        split, suffix = 1, f"e{e:+d}"
+    body = (text[:split] + "." + text[split:]).rstrip("0")
+    return ("-" if sign else "") + body + ("0" if body.endswith(".") else "") + suffix
 
 
 def _cmd_digits(args) -> list[OutputRecord]:
@@ -258,7 +292,7 @@ def _cmd_valuation(args) -> list[OutputRecord]:
 
 
 def _cmd_catalan(args) -> list[OutputRecord]:
-    from .catalan import catalan_exact, catalan_residue_mod_pq, catalan_valuation, divides
+    from .catalan import catalan_exact, catalan_residue_mod_pq, catalan_valuation
 
     if args.s is not None:
         value = catalan_exact(args.s, args.n)
@@ -266,10 +300,12 @@ def _cmd_catalan(args) -> list[OutputRecord]:
     if args.p is None or args.q is None:
         raise ValueError("catalan needs either --s or both --p and --q")
     pp = PrimePower(args.p, args.q)
+    residue = catalan_residue_mod_pq(pp, args.n)
+    # p**q | F exactly when F == 0 (mod p**q), so the residue settles it
     result = {
         "valuation": catalan_valuation(pp, args.n),
-        "residue": catalan_residue_mod_pq(pp, args.n),
-        "divides": divides(pp, args.n),
+        "residue": residue,
+        "divides": residue == 0,
     }
     return [OutputRecord("catalan", {"p": args.p, "q": args.q, "n": args.n}, result)]
 
@@ -358,7 +394,11 @@ def _cmd_threshold(args) -> list[OutputRecord]:
             lhs, rhs = inequality_sides(inst, n, form=form)
             inputs = {"p": args.p, "q": args.q, "n": label, "form": form,
                       "precision": precision}
-            result = {"lhs": _num(lhs), "rhs": _num(rhs), "holds": bool(lhs > rhs)}
+            holds = bool(lhs > rhs)
+            # the sides are rigorous bounds: when the left side wins, a lower
+            # bound of lhs and an upper bound of rhs, and conversely
+            result = {"lhs": _num(lhs, up=not holds), "rhs": _num(rhs, up=holds),
+                      "holds": holds}
             records.append(OutputRecord("threshold", inputs, result))
     if args.find_tau0:
         for form in forms:

@@ -8,13 +8,15 @@ windows of m, n and m - n.  The whole computation is array
 work: the base-p digits come from `digits._digit_array`, e0 and the sign
 from digit sums, every window from one sliding dot product with
 [1, p, ..., p**(w-1)], w = min(q, bits(m) + 1), and the window factorials
-from a prefix table gathered in one step and multiplied by pairwise
-halving.  Tables hold the prefix products over the units only, as int32,
-and are built for p**q <= 2**22, where every window fits a machine word
-and every product of two residues fits int64.  Above that cap the same
-code runs on Python-int arrays, and the windows' k!_p are read off one
-running product over their distinct values, up to the largest; a window
-that would take more than 2**22 steps is refused with SizeGuardError.
+are multiplied by pairwise halving.
+
+k!_p has one source, `_unit_factorials`, for the windows and for
+`factorial_p_mod` alike.  For p**q <= 2**22 it gathers every k in one
+step from a prefix table over the units only, held as int32, where every
+window fits a machine word and every product of two residues fits int64.
+Above that cap the same code runs on Python-int arrays, and k!_p is read
+off one running product over the distinct k, up to the largest; a k above
+2**22 would take more steps than that and is refused with SizeGuardError.
 When p**(q-1) also passes 2**22, every m above 2**22 has such a window
 and is refused before its digits are built.
 """
@@ -98,27 +100,32 @@ def factorial_p_mod(n: int, pp: PrimePower) -> int:
 
     Every full block of p**q integers contributes the unit `_block_unit`, so
     n!_p reduces to that unit to the power n div p**q times the prefix
-    product of the remainder: a table lookup up to the table cap, a direct
-    product of at most 2**22 steps above it.
+    product of the remainder, from `_unit_factorials`.
     """
     _require_nonneg(n)
-    p, q, pq = pp.p, pp.q, pp.modulus
-    blocks, rem = divmod(n, pq)
-    table = _unit_factorial_table(p, q)
+    blocks, rem = divmod(n, pp.modulus)
+    part = int(_unit_factorials(np.array([rem]), pp)[0])
+    return pow(_block_unit(pp.p, pp.q), blocks, pp.modulus) * part % pp.modulus
+
+
+def _unit_factorials(ks: np.ndarray, pp: PrimePower) -> np.ndarray:
+    """k!_p mod p**q for each k < p**q in the array ks: int64 entries
+    gathered from the unit-factorial table when the modulus has one, else
+    Python ints read off one running product up to the largest k, refused
+    with SizeGuardError, naming the first, when any k is above 2**22."""
+    p, pq = pp.p, pp.modulus
+    table = _unit_factorial_table(p, pp.q)
     if table is not None:
-        part = int(table[rem - rem // p])
-    else:
-        _guard_direct_product(n, rem, pp)
-        part = _running_unit_factorials([rem], p, pq)[rem]
-    return pow(_block_unit(p, q), blocks, pq) * part % pq
-
-
-def _guard_direct_product(n: int, rem: int, pp: PrimePower) -> None:
-    if rem > _FACT_TABLE_MAX:
+        # table entries are int32: widen before any product of two
+        return table[ks - ks // p].astype(np.int64)
+    flat = ks.reshape(-1).tolist()
+    over = [k for k in flat if k > _FACT_TABLE_MAX]
+    if over:
         raise SizeGuardError(
-            f"{_shown(n)}!_p mod {pp} needs a direct product of {_shown(rem)} steps, "
+            f"{_shown(over[0])}!_p mod {pp} needs a direct product of {_shown(over[0])} steps, "
             f"over the cap of 2**22 (tables exist only for moduli up to 2**22)"
         )
+    return np.frompyfunc(_running_unit_factorials(flat, p, pq).__getitem__, 1, 1)(ks)
 
 
 def _running_unit_factorials(ks: list[int], p: int, pq: int) -> dict[int, int]:
@@ -198,10 +205,9 @@ def granville_binom_mod_pq(m: int, n: int, pp: PrimePower) -> GranvilleResult:
     if n > m:
         raise ValueError(f"need 0 <= n <= m, got m={_shown(m)} n={_shown(n)}")
     p, q, pq = pp.p, pp.q, pp.modulus
-    table = _unit_factorial_table(p, q)
-    # without a table, p**(q-1) > 2**22 puts some window of any m > 2**22
+    # p**(q-1) > 2**22 (so no table) puts some window of any m > 2**22
     # over the cap: m itself, or the window holding m's top digit
-    if table is None and m > _FACT_TABLE_MAX and p ** min(q - 1, 23) > _FACT_TABLE_MAX:
+    if m > _FACT_TABLE_MAX and p ** min(q - 1, 23) > _FACT_TABLE_MAX:
         raise SizeGuardError(
             f"C({_shown(m)}, n) mod {pp} needs k!_p of a window above 2**22, a direct "
             f"product over the cap of 2**22 (tables exist only for moduli up to 2**22)"
@@ -215,8 +221,8 @@ def granville_binom_mod_pq(m: int, n: int, pp: PrimePower) -> GranvilleResult:
     windows_per_row = 1 << int(m.bit_length() / log2(p) + 1).bit_length()
     size = windows_per_row + width - 1
     rows = _digit_array([m, n, m - n], p, size)
-    if table is None:
-        # windows may pass 2**63: the same steps on Python ints
+    if pq > _FACT_TABLE_MAX:
+        # no table, and windows may pass 2**63: the same steps on Python ints
         rows = rows.astype(object)
     # the "full" correlation's entry width - 1 + i is the window starting at i
     powers = np.array([p**t for t in range(width)], dtype=rows.dtype)
@@ -233,16 +239,7 @@ def granville_binom_mod_pq(m: int, n: int, pp: PrimePower) -> GranvilleResult:
     carry_out = int(windows[1, 0]) % pk + int(windows[2, 0]) % pk >= pk
     e_top = e0 - int(low[1] + low[2] - low[0] - carry_out) // (p - 1)
 
-    if table is None:
-        # every window is below p**q; each is refused past 2**22 as a direct
-        # product, else read off one running product up to the largest
-        ks = windows.reshape(-1).tolist()
-        for k in ks:
-            _guard_direct_product(k, k, pp)
-        values = np.frompyfunc(_running_unit_factorials(ks, p, pq).__getitem__, 1, 1)(windows)
-    else:
-        # table entries are int32: widen before any product of two
-        values = table[windows - windows // p].astype(np.int64)
+    values = _unit_factorials(windows, pp)
 
     # num = prod M_j!_p and den = prod N_j!_p R_j!_p: halve pairwise down
     # to eight factors a row, then finish on Python ints

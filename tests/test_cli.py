@@ -3,7 +3,9 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from pqcat.cli import (
@@ -17,6 +19,7 @@ from pqcat.cli import (
     parse_record,
     run,
 )
+from pqcat import InequalityInstance, PrimePower, inequality_sides
 
 
 def run_lines(capsys, argv):
@@ -43,6 +46,27 @@ class TestDispatch:
         assert code == EXIT_OK and recs[0]["result"] == 22
         code, recs = run_lines(capsys, ["catalan", "--p", "2", "--q", "2", "--n", "3"])
         assert recs[0]["result"] == {"valuation": 1, "residue": 2, "divides": False}
+
+    def test_catalan_record_takes_two_valuations(self, capsys, monkeypatch):
+        # "divides" is read off the residue, so v_p(F) is taken twice: for
+        # the "valuation" field and inside the residue
+        import pqcat.catalan
+
+        calls = []
+        valuation = pqcat.catalan.catalan_valuation
+
+        def counted(pp, n):
+            calls.append(n)
+            return valuation(pp, n)
+
+        monkeypatch.setattr(pqcat.catalan, "catalan_valuation", counted)
+        # F(9, 1) = 1 and F(9, 2) = 9 = 3**2
+        for n, expected in (("1", {"valuation": 0, "residue": 1, "divides": False}),
+                            ("2", {"valuation": 2, "residue": 0, "divides": True})):
+            calls.clear()
+            code, recs = run_lines(capsys, ["catalan", "--p", "3", "--q", "2", "--n", n])
+            assert code == EXIT_OK and recs[0]["result"] == expected
+            assert len(calls) == 2
 
     def test_granville(self, capsys):
         code, recs = run_lines(capsys, ["granville", "--m", "10", "--n", "4", "--p", "3", "--q", "2"])
@@ -429,6 +453,49 @@ class TestExitCodes:
         assert captured.err.splitlines()[-1] == (
             f"pqcat scan: error: unrecognized arguments: {' '.join(flags)}"
         )
+
+
+class TestThresholdBounds:
+    """Printed lhs and rhs are the exact endpoints rounded outward to 17
+    digits, independent of mpmath's global precision."""
+
+    @staticmethod
+    def exact(x) -> Fraction:
+        sign, man, exp, _ = x._mpf_
+        value = Fraction(man) * Fraction(2) ** exp
+        return -value if sign else value
+
+    # twenty exponents on both sides of each general-form crossing
+    # (find_tau0 gives 2**1698 and 2**2751)
+    @pytest.mark.parametrize("p,crossing", [(2, 1698), (313, 2751)])
+    def test_bounds_rounded_outward_whatever_mp_prec(self, capsys, p, crossing):
+        exponents = range(crossing - 10, crossing + 10)
+        argv = ["threshold", "--p", str(p), "--q", "2"]
+        for e in exponents:
+            argv += ["--log2-n", str(e)]
+        saved = mpmath.mp.prec
+        outputs = []
+        for bits in (20, 53, 120):
+            with mpmath.workprec(bits):
+                assert run(argv) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert mpmath.mp.prec == saved
+        assert outputs[0] == outputs[1] == outputs[2]
+        records = [parse_record(line) for line in outputs[0].splitlines()]
+        assert [r["inputs"]["n"] for r in records] == [f"2**{e}" for e in exponents]
+        assert {r["result"]["holds"] for r in records} == {False, True}
+        inst = InequalityInstance(PrimePower(p, 2))
+        for e, record in zip(exponents, records):
+            lhs, rhs = inequality_sides(inst, 1 << e)
+            holds = record["result"]["holds"]
+            assert holds == (lhs > rhs)
+            printed_lhs = Fraction(record["result"]["lhs"])
+            printed_rhs = Fraction(record["result"]["rhs"])
+            # when lhs wins, a lower bound of lhs and an upper bound of rhs
+            if holds:
+                assert printed_lhs <= self.exact(lhs) and printed_rhs >= self.exact(rhs), e
+            else:
+                assert printed_lhs >= self.exact(lhs) and printed_rhs <= self.exact(rhs), e
 
 
 class TestEmit:
