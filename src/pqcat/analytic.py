@@ -5,7 +5,7 @@
            + (11/8) (3 log n + 2 q log p),            a = 1/400000,
 
 whose validity forces C(p**q n + 1, n) to be non-squarefree (hypothesis
-p**q <= 99999).  All evaluation uses interval arithmetic with outward
+p**q <= 99999).  Every verdict uses interval arithmetic with outward
 rounding, so every reported comparison is decisive at the working
 precision; an indeterminate comparison escalates the precision and, past
 the cap, raises PrecisionError rather than guessing; a starting precision
@@ -13,9 +13,12 @@ outside 64..PRECISION_CAP bits is refused up front.  Each precision has
 its own interval context, handed to every evaluation as an argument, so
 no mpmath global is read or set and concurrent callers do not interfere.
 
-find_tau0 brackets the crossing between consecutive powers of two and
-proves, by a monotonicity lemma checked once at the crossing, that the
-inequality holds at every larger n.
+find_tau0 locates, then certifies: a double-precision model of the
+inequality guesses the crossing exponent, interval evaluations bracket
+it between consecutive powers of two, and a monotonicity lemma checked
+once at the crossing proves that the inequality holds at every larger n.
+The guess only decides where the interval evaluations start, never a
+verdict, so a wrong guess costs time and not the answer.
 
 Logarithms are natural.  A base-10 mode exists for cross-checking the
 specialized constant sets of the (2,2) and (3,2) cases, whose additive
@@ -26,6 +29,7 @@ specialized_constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -197,6 +201,58 @@ def inequality_holds(inst: InequalityInstance, n: int, *, form: str = "general")
     return _sides_interval(inst, n, form)[2]
 
 
+_LN2, _LN10 = math.log(2), math.log(10)
+
+
+def _log_gap(inst: InequalityInstance, e: int, shape) -> float | None:
+    """log(lhs) - log(rhs) at n = 2**e in doubles, or None where a side is
+    not positive; shape is _shape's (C, k, c, D) as floats.
+
+    Everything is in terms of x = e log 2, so no power of n is formed.
+    lhs = sqrt(n) B(n), and B(n) = (1-a) sqrt(u) - (1+a) sqrt(u - 1),
+    u = p**q + 1/n, is taken as ((1+a)**2 - 4 a u) / ((1-a) sqrt(u) +
+    (1+a) sqrt(u - 1)): the plain difference cancels most of its digits
+    near p**q = 99999.
+    """
+    C, k, c0, D = shape
+    const = inst.constants
+    a = float(const.alpha)
+    x = e * _LN2
+    u = inst.pp.modulus + math.exp(-x)
+    num = (1 + a) ** 2 - 4 * a * u
+    den = (1 - a) * math.sqrt(u) + (1 + a) * math.sqrt(u - 1)
+    arg = k + c0 * math.exp(-x)  # (k n + c) / n
+    if num <= 0 or den <= 0 or C <= 0 or arg <= 0:
+        return None
+    log_base = 1.0 if const.natural_log else _LN10
+    L = (x + math.log(arg)) / log_base
+    if L <= 0:
+        return None
+    log_main = math.log(C) + float(const.exp_n) * x + float(const.exp_log) * math.log(L)
+    tail = 3 * float(const.c_tail) * x / log_base + D
+    # rhs = e**log_main (1 + tail e**-log_main); the exponent is clamped so
+    # that a main term below e**-700 cannot overflow it, as only the sign
+    # of the gap steers the guess
+    rel = 1 + tail * math.exp(min(-log_main, 700.0))
+    if rel <= 0:
+        return None
+    return x / 2 + math.log(num / den) - log_main - math.log(rel)
+
+
+def _guess(inst: InequalityInstance, shape, cap: int) -> int:
+    """The least e in [1, cap] where _log_gap is positive, by bisection on
+    the double-precision model (cap when there is none)."""
+    lo, hi = 0, cap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        gap = _log_gap(inst, mid, shape)
+        if gap is not None and gap > 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def find_tau0(
     inst: InequalityInstance,
     *,
@@ -206,8 +262,14 @@ def find_tau0(
     """The exponent e such that the inequality fails at n = 2**(e - 1) and
     holds at every n >= n0 = 2**e.
 
-    Doubling then bisection finds the crossing; holding above it is then
-    proved, not sampled.  The right side has one shape in both forms,
+    Locate, then certify: a double-precision model of the inequality
+    (_log_gap) guesses the crossing g, and interval evaluations step out
+    from g by 1, 2, 4, ... until a failing and a holding exponent bracket
+    it, then bisect the bracket to adjacent exponents.  Exponent 0 counts
+    as failing without an evaluation.  An accurate guess costs two
+    evaluations, a wrong one only more; the verdicts come from
+    inequality_holds alone.  Holding above the crossing is then proved,
+    not sampled.  The right side has one shape in both forms,
     rhs = C n**exp_n L**exp_log + 3 c_tail log n + D, where L is the
     logarithm (natural or decimal) of k n + c (see _shape).  When n0 >= 8,
     alpha >= 0, C, k, c > 0, c_tail, D >= 0, exp_log >= 0, exp_n < 1/2 and
@@ -224,29 +286,39 @@ def find_tau0(
         (A log n + D) / sqrt(n) does not increase for n > e**2, so tail/lhs
         does not for n >= 8.
 
-    So rhs/lhs < 1 at n0 gives it at every larger n.  The conditions are
-    read off the shape: exactly for the rationals, and for C, D and L(n0)
-    in interval arithmetic at the instance's precision.  Raises
-    ThresholdSearchError when one fails, or when no holding exponent exists
-    below the cap (max_exponent, by default config.DEFAULT_EXPONENT_CAP); a
-    cap below 1 raises ValueError before any evaluation.
+    So rhs/lhs < 1 at n0 gives it at every larger n.  The answer does not
+    depend on the guess: an e that fails at e - 1, holds at e and passes
+    the lemma is the only such e, as the lemma makes every later exponent
+    hold.  The conditions are read off the shape: exactly for the
+    rationals, and for C, D and L(n0) in interval arithmetic at the
+    instance's precision.  Raises ThresholdSearchError when one fails, or
+    when the inequality fails at the cap (max_exponent, by default
+    config.DEFAULT_EXPONENT_CAP); a cap below 1 raises ValueError before
+    any evaluation.
     """
     cap = config.DEFAULT_EXPONENT_CAP if max_exponent is None else max_exponent
     if cap < 1:
         raise ValueError(f"max_exponent must be >= 1, got {cap}")
+    iv = _context(inst.precision)
+    C, k, c0, D = _shape(iv, inst, form)
 
     def ok(e: int) -> bool:
         return inequality_holds(inst, 1 << e, form=form)
 
-    hi = 1
-    while not ok(hi):
-        hi *= 2
-        if hi > cap:
-            raise ThresholdSearchError(
-                f"no crossover found for {inst.pp} below exponent {cap}"
-            )
-    lo = hi // 2  # ok(lo) is False (or lo == 0)
-    while hi - lo > 1:
+    g = _guess(inst, (float(C.mid), k, c0, float(D.mid)), cap)
+    if ok(g):
+        hi, step = g, 1
+        while (lo := max(hi - step, 0)) and ok(lo):
+            hi, step = lo, 2 * step
+    else:
+        lo, step = g, 1
+        while not ok(hi := min(lo + step, cap)):
+            if hi == cap:
+                raise ThresholdSearchError(
+                    f"no crossover found for {inst.pp} below exponent {cap}"
+                )
+            lo, step = hi, 2 * step
+    while hi - lo > 1:  # ok(lo) is False (or lo == 0), ok(hi) is True
         mid = (lo + hi) // 2
         if ok(mid):
             hi = mid
@@ -255,13 +327,10 @@ def find_tau0(
 
     c = inst.constants
     half = Fraction(1, 2)
-    if hi >= 3 and c.alpha >= 0 and c.c_tail >= 0 and c.exp_log >= 0 and c.exp_n < half:
-        bound = c.exp_log / (half - c.exp_n)
-        iv = _context(inst.precision)
-        C, k, c0, D = _shape(iv, inst, form)
-        if (C > 0 and k > 0 and c0 > 0 and D >= 0
-                and _log(iv, c, iv.mpf(k * (1 << hi) + c0)) > _frac(iv, bound)):
-            return hi
+    if (hi >= 3 and c.alpha >= 0 and c.c_tail >= 0 and c.exp_log >= 0 and c.exp_n < half
+            and C > 0 and k > 0 and c0 > 0 and D >= 0
+            and _log(iv, c, iv.mpf(k * (1 << hi) + c0)) > _frac(iv, c.exp_log / (half - c.exp_n))):
+        return hi
     raise ThresholdSearchError(
         f"cannot prove that the inequality holds above 2**{hi} for {inst.pp}: "
         f"n0 < 8, or the constants or L(n0) fall outside the monotonicity lemma"

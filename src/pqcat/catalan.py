@@ -12,7 +12,7 @@ from math import comb
 
 from .config import DEFAULT_EXACT_LIMIT, SizeGuardError
 from .digits import PrimePower, _require_nonneg, _shown, sigma_p
-from .modular import granville_binom_mod_pq, lucas_binom_mod_p
+from .modular import granville_binom_mod_pq
 
 
 def catalan_exact(s: int, n: int) -> int:
@@ -55,15 +55,18 @@ def catalan_residue_mod_pq(pp: PrimePower, n: int) -> int:
     identity mod p**q and needs no inverse: the residue is the unit part
     of the binomial times p**e0, 0 exactly when e0 >= q.  As m is a unit,
     e0 = v_p(C(m, n)) is v_p(F), so that case is read off the digit-sum
-    valuation before any factorial table is built.  For q = 1 the residue
-    is then C(m, n) mod p by Lucas's digitwise product, again with no
-    table.  Only digit-level work, so n may be huge.
+    valuation before any factorial table is built.  Only digit-level
+    work, so n may be huge.
     """
     if catalan_valuation(pp, n) >= pp.q:
         return 0
+    return _residue_below_q(pp, n)
+
+
+def _residue_below_q(pp: PrimePower, n: int) -> int:
+    """F(p**q, n) mod p**q for an n with v_p(F(p**q, n)) < q.  For q = 1
+    that is v_p = 0, where granville_binom_mod_pq takes Lucas' digitwise
+    product and builds no table."""
     pq = pp.modulus
-    m = pq * n + 1
-    if pp.q == 1:
-        return lucas_binom_mod_p(m, n, pp.p)
-    g = granville_binom_mod_pq(m, n, pp)
+    g = granville_binom_mod_pq(pq * n + 1, n, pp)
     return g.unit_residue * pow(pp.p, g.e0, pq) % pq

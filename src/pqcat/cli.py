@@ -292,7 +292,7 @@ def _cmd_valuation(args) -> list[OutputRecord]:
 
 
 def _cmd_catalan(args) -> list[OutputRecord]:
-    from .catalan import catalan_exact, catalan_residue_mod_pq, catalan_valuation
+    from .catalan import _residue_below_q, catalan_exact, catalan_valuation
 
     if args.s is not None:
         value = catalan_exact(args.s, args.n)
@@ -300,12 +300,13 @@ def _cmd_catalan(args) -> list[OutputRecord]:
     if args.p is None or args.q is None:
         raise ValueError("catalan needs either --s or both --p and --q")
     pp = PrimePower(args.p, args.q)
-    residue = catalan_residue_mod_pq(pp, args.n)
-    # p**q | F exactly when F == 0 (mod p**q), so the residue settles it
+    # one valuation serves the record and the residue's p**q | F case
+    valuation = catalan_valuation(pp, args.n)
+    divides = valuation >= pp.q
     result = {
-        "valuation": catalan_valuation(pp, args.n),
-        "residue": residue,
-        "divides": residue == 0,
+        "valuation": valuation,
+        "residue": 0 if divides else _residue_below_q(pp, args.n),
+        "divides": divides,
     }
     return [OutputRecord("catalan", {"p": args.p, "q": args.q, "n": args.n}, result)]
 

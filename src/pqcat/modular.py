@@ -1,14 +1,14 @@
 """Binomial coefficients modulo p and modulo p**q.
 
 Lucas' digitwise product handles the prime modulus, up to 2**22
-multiplications in all.  The prime-power case (Granville's congruence)
-splits C(m, n) into p**e0 times a unit and takes the unit from the p-free
-factorials k!_p (the product of all i <= k coprime to p) of q-digit
-windows of m, n and m - n.  The whole computation is array
-work: the base-p digits come from `digits._digit_array`, e0 and the sign
-from digit sums, every window from one sliding dot product with
-[1, p, ..., p**(w-1)], w = min(q, bits(m) + 1), and the window factorials
-are multiplied by pairwise halving.
+multiplications in all, and q = 1 without a carry.  The prime-power case
+(Granville's congruence) splits C(m, n) into p**e0 times a unit and takes
+the unit from the p-free factorials k!_p (the product of all i <= k
+coprime to p) of q-digit windows of m, n and m - n.  The whole
+computation is array work: the base-p digits come from
+`digits._digit_array`, e0 and the sign from digit sums, every window from
+one sliding dot product with [1, p, ..., p**(w-1)], w = min(q, bits(m) + 1),
+and the window factorials are multiplied by pairwise halving.
 
 k!_p has one source, `_unit_factorials`, for the windows and for
 `factorial_p_mod` alike.  For p**q <= 2**22 it gathers every k in one
@@ -235,6 +235,12 @@ def granville_binom_mod_pq(m: int, n: int, pp: PrimePower) -> GranvilleResult:
     total = rows.sum(axis=1)
     low = rows[:, : q - 1].sum(axis=1)
     e0 = int(total[1] + total[2] - total[0]) // (p - 1)
+    # with no carry the digits of m are those of n plus r, so Lucas'
+    # digitwise product takes 2 min(n_i, r_i) steps a digit, and needs no
+    # table when they fit its budget; with a carry, or past the budget, the
+    # digit factorials below come from the table (Anton's congruence)
+    if q == 1 and e0 == 0 and 2 * int(np.minimum(rows[1], rows[2]).sum()) <= _FACT_TABLE_MAX:
+        return GranvilleResult(0, lucas_binom_mod_p(m, n, p))
     pk = p ** (q - 1)
     carry_out = int(windows[1, 0]) % pk + int(windows[2, 0]) % pk >= pk
     e_top = e0 - int(low[1] + low[2] - low[0] - carry_out) // (p - 1)

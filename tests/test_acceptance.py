@@ -244,3 +244,21 @@ def test_criterion_10_partition_bound(capsys):
     ok = all(len(residue_set_p2(p)) <= len(partitions_of(p)) + 1 for p in primes)
     report(capsys, 10, "residue count <= partitions(p) + 1 for p <= 31", ok)
     assert ok
+
+
+def test_hough_simion_4_catalan():
+    # the question of Hough and Simion: 4 divides F(4, n) except where
+    # 3n + 1 is a power of 4, with F(4, n) == 1 (mod 4), or a sum of two
+    # distinct odd powers of 2, with F(4, n) == 2 (mod 4); the families are
+    # read off 3n + 1 here, and F from math.comb
+    bound = 2000
+    residue = {n: comb(4 * n, n) // (3 * n + 1) % 4 for n in range(1, bound + 1)}
+    pure, odd_sums = set(), set()
+    for a in range(1, 14):
+        pure.add((4**a - 1) // 3)
+        for b in range(1, a, 2):
+            if a % 2:
+                odd_sums.add((2**a + 2**b - 1) // 3)
+    assert sorted(n for n, r in residue.items() if r) == exception_values(PrimePower(2, 2), bound)
+    assert {n for n, r in residue.items() if r == 1} == {n for n in pure if n <= bound}
+    assert {n for n, r in residue.items() if r == 2} == {n for n in odd_sums if n <= bound}

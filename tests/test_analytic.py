@@ -34,6 +34,34 @@ def exp60_floor_by_series() -> int:
     return total.numerator // total.denominator
 
 
+def doubling_search(inst, form="general", cap=1 << 14):
+    """The crossing exponent by doubling from 1, then bisection: the search
+    find_tau0 used before its double-precision guess, kept as a reference
+    (no monotonicity lemma)."""
+
+    def ok(e):
+        return inequality_holds(inst, 1 << e, form=form)
+
+    hi = 1
+    while not ok(hi):
+        hi *= 2
+        if hi > cap:
+            raise ThresholdSearchError(f"no crossover below exponent {cap}")
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def moduli_q_at_least_2():
+    primes = [p for p in range(2, 317) if all(p % d for d in range(2, p))]
+    return [(p, q) for p in primes for q in range(2, 17) if p**q <= 99999]
+
+
 class TestInstance:
     def test_modulus_guard(self):
         with pytest.raises(ValueError):
@@ -191,9 +219,51 @@ class TestTau0:
             find_tau0(InequalityInstance(PrimePower(2, 2)), max_exponent=cap)
         assert calls == []
 
+    def test_cap_between_crossing_and_next_power_of_two(self):
+        # the crossing of (2,2) is 1698: any cap at or above it is enough,
+        # not only one past the next power of two
+        inst = InequalityInstance(PrimePower(2, 2))
+        for cap in (1698, 1700, 2047):
+            assert find_tau0(inst, max_exponent=cap) == 1698, cap
+        with pytest.raises(ThresholdSearchError, match="below exponent 1697"):
+            find_tau0(inst, max_exponent=1697)
+
+    def test_matches_doubling_search(self):
+        for p, q in moduli_q_at_least_2():
+            inst = InequalityInstance(PrimePower(p, q))
+            assert find_tau0(inst) == doubling_search(inst), (p, q)
+        for natural_log in (True, False):
+            constants = InequalityConstants(natural_log=natural_log)
+            for pp in (PrimePower(2, 2), PrimePower(3, 2)):
+                inst = InequalityInstance(pp, constants=constants)
+                for form in ("general", "specialized"):
+                    assert find_tau0(inst, form=form) == doubling_search(inst, form), (pp, form)
+
+    def test_few_interval_evaluations(self, monkeypatch):
+        # the double-precision guess lands on or next to the crossing, so
+        # certifying it takes two evaluations (four at most)
+        calls = []
+        holds = analytic.inequality_holds
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return holds(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "inequality_holds", counted)
+        for p, q in moduli_q_at_least_2():
+            calls.clear()
+            find_tau0(InequalityInstance(PrimePower(p, q)))
+            assert len(calls) <= 4, (p, q, len(calls))
+
+    @pytest.mark.parametrize("guess", ["low", "cap"])
+    def test_guess_does_not_decide(self, monkeypatch, guess):
+        # a guess at either end of [1, cap] costs evaluations, not answers
+        monkeypatch.setattr(analytic, "_guess", lambda inst, shape, cap: 1 if guess == "low" else cap)
+        assert find_tau0(InequalityInstance(PrimePower(2, 2))) == 1698
+        assert find_tau0(InequalityInstance(PrimePower(99991, 1))) == 3149
+
     def test_every_modulus_certified(self):
-        primes = [p for p in range(2, 317) if all(p % d for d in range(2, p))]
-        moduli = [(p, q) for p in primes for q in range(2, 17) if p**q <= 99999]
+        moduli = moduli_q_at_least_2()
         assert len(moduli) == 108
         for p, q in moduli:
             inst = InequalityInstance(PrimePower(p, q))

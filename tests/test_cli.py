@@ -47,9 +47,9 @@ class TestDispatch:
         code, recs = run_lines(capsys, ["catalan", "--p", "2", "--q", "2", "--n", "3"])
         assert recs[0]["result"] == {"valuation": 1, "residue": 2, "divides": False}
 
-    def test_catalan_record_takes_two_valuations(self, capsys, monkeypatch):
-        # "divides" is read off the residue, so v_p(F) is taken twice: for
-        # the "valuation" field and inside the residue
+    def test_catalan_record_takes_one_valuation(self, capsys, monkeypatch):
+        # one v_p(F) gives the "valuation" field, "divides" and the residue's
+        # p**q | F case
         import pqcat.catalan
 
         calls = []
@@ -66,7 +66,7 @@ class TestDispatch:
             calls.clear()
             code, recs = run_lines(capsys, ["catalan", "--p", "3", "--q", "2", "--n", n])
             assert code == EXIT_OK and recs[0]["result"] == expected
-            assert len(calls) == 2
+            assert len(calls) == 1
 
     def test_granville(self, capsys):
         code, recs = run_lines(capsys, ["granville", "--m", "10", "--n", "4", "--p", "3", "--q", "2"])

@@ -164,6 +164,31 @@ class TestGranville:
                 reconstructed = g.unit_residue * pow(p, g.e0, p) % p
                 assert reconstructed == lucas_binom_mod_p(m, n, p)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_q1_matches_exact(self, p):
+        # without a carry the unit comes from Lucas' product, with one from
+        # the digit factorials: both against math.comb
+        pp = PrimePower(p, 1)
+        for m in range(0, 200):
+            for n in range(0, m + 1):
+                g = granville_binom_mod_pq(m, n, pp)
+                assert (g.e0, g.unit_residue) == exact_split(comb(m, n), p, p), (m, n)
+
+    def test_q1_without_carry_builds_no_table(self):
+        # C(p + 1, 1) = p + 1: no carry, so no p-entry table for p = 4194301
+        before = _unit_factorial_table.cache_info().currsize
+        g = granville_binom_mod_pq(4194302, 1, PrimePower(4194301, 1))
+        assert (g.e0, g.unit_residue) == (0, 1)
+        assert _unit_factorial_table.cache_info().currsize == before
+
+    def test_q1_past_lucas_budget_answered(self):
+        # two carry-free digits of 2,097,150 falling factors each pass the
+        # 2**22 steps Lucas' product may take; the table answers instead:
+        # C(p**2 - 1, k (p + 1)) == C(p - 1, k)**2 == 1 (mod p)
+        p, k = 4194301, 2097150
+        g = granville_binom_mod_pq((p - 1) * (p + 1), k * (p + 1), PrimePower(p, 1))
+        assert (g.e0, g.unit_residue) == (0, 1)
+
     def test_huge_operands(self):
         # digit-level only: works far beyond exact-binomial range
         n = 2**501 + 17
