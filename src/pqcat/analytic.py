@@ -239,18 +239,27 @@ def _log_gap(inst: InequalityInstance, e: int, shape) -> float | None:
     return x / 2 + math.log(num / den) - log_main - math.log(rel)
 
 
-def _guess(inst: InequalityInstance, shape, cap: int) -> int:
-    """The least e in [1, cap] where _log_gap is positive, by bisection on
-    the double-precision model (cap when there is none)."""
-    lo, hi = 0, cap
+def _bisect(lo: int, hi: int, holds) -> int:
+    """Bisect lo < hi, taken as holds(lo) false and holds(hi) true without
+    evaluating either, down to adjacent exponents; returns the holding one."""
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        gap = _log_gap(inst, mid, shape)
-        if gap is not None and gap > 0:
+        if holds(mid):
             hi = mid
         else:
             lo = mid
     return hi
+
+
+def _guess(inst: InequalityInstance, shape, cap: int) -> int:
+    """The least e in [1, cap] where _log_gap is positive, by bisection on
+    the double-precision model (cap when there is none)."""
+
+    def positive(e: int) -> bool:
+        gap = _log_gap(inst, e, shape)
+        return gap is not None and gap > 0
+
+    return _bisect(0, cap, positive)
 
 
 def find_tau0(
@@ -318,12 +327,7 @@ def find_tau0(
                     f"no crossover found for {inst.pp} below exponent {cap}"
                 )
             lo, step = hi, 2 * step
-    while hi - lo > 1:  # ok(lo) is False (or lo == 0), ok(hi) is True
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
+    hi = _bisect(lo, hi, ok)  # ok(lo) is False (or lo == 0), ok(hi) is True
 
     c = inst.constants
     half = Fraction(1, 2)
