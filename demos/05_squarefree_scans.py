@@ -5,9 +5,11 @@ A prime square r**2 divides C(m, n) exactly when adding n and m - n in
 base r carries twice, which needs r <= sqrt(m) -- so squarefreeness is
 decided exactly without ever factoring the (possibly enormous) binomial.
 
-For q >= 2, any n outside the divisibility-exception families gives
-p**q | C(p**q n + 1, n), killing squarefreeness immediately; a scan
-therefore only needs to test the few structural candidates.
+Since p**q n + 1 == 1 (mod p), C(p**q n + 1, n) has as many factors p
+as the Fuss-Catalan number F(p**q, n), so it can be squarefree only when
+that count is at most 1.  A scan therefore tests only the few n with
+v_p(F(p**q, n)) < max(q, 2): for q >= 2 the divisibility exceptions
+(p**q does not divide F), for q = 1 the n with at most one factor p.
 """
 
 from pqcat import PrimePower, is_squarefree_binom, scan_candidates, verify_divisibility_filter
@@ -23,6 +25,10 @@ print(f"  squarefree hits: {list(report.squarefree_hits)}")
 
 print("\nScan C(9n+1, n) for n <= 10^4:")
 report = scan_candidates(PrimePower(3, 2), 10**4)
+print(f"  tested {report.candidates_tested} candidates; hits {list(report.squarefree_hits)}")
+
+print("\nScan C(2n+1, n) for n <= 2^40 (q = 1: v_2 at most 1):")
+report = scan_candidates(PrimePower(2, 1), 2**40)
 print(f"  tested {report.candidates_tested} candidates; hits {list(report.squarefree_hits)}")
 
 print("\nExhaustive mode reproduces the same hits (the filter loses nothing):")

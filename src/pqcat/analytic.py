@@ -262,12 +262,7 @@ def _guess(inst: InequalityInstance, shape, cap: int) -> int:
     return _bisect(0, cap, positive)
 
 
-def find_tau0(
-    inst: InequalityInstance,
-    *,
-    form: str = "general",
-    max_exponent: int | None = None,
-) -> int:
+def find_tau0(inst: InequalityInstance, *, form: str = "general") -> int:
     """The exponent e such that the inequality fails at n = 2**(e - 1) and
     holds at every n >= n0 = 2**e.
 
@@ -301,13 +296,9 @@ def find_tau0(
     hold.  The conditions are read off the shape: exactly for the
     rationals, and for C, D and L(n0) in interval arithmetic at the
     instance's precision.  Raises ThresholdSearchError when one fails, or
-    when the inequality fails at the cap (max_exponent, by default
-    config.DEFAULT_EXPONENT_CAP); a cap below 1 raises ValueError before
-    any evaluation.
+    when the inequality fails at the cap, config.DEFAULT_EXPONENT_CAP.
     """
-    cap = config.DEFAULT_EXPONENT_CAP if max_exponent is None else max_exponent
-    if cap < 1:
-        raise ValueError(f"max_exponent must be >= 1, got {cap}")
+    cap = config.DEFAULT_EXPONENT_CAP
     iv = _context(inst.precision)
     C, k, c0, D = _shape(iv, inst, form)
 

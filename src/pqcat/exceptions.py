@@ -1,10 +1,11 @@
 """Enumeration of the exceptional n for which p**q does not divide the
-Fuss-Catalan number F(p**q, n).
+Fuss-Catalan number F(p**q, n), and of the wider sets v_p(F(p**q, n)) < v.
 
 Write X = (p**q - 1) n + 1.  Since v_p(F(p**q, n)) = (sigma_p(X) - 1)/(p - 1),
-the number n is exceptional exactly when sigma_p(X) <= (p - 1)(q - 1) + 1.
+v_p(F(p**q, n)) < v exactly when sigma_p(X) <= (p - 1)(v - 1) + 1; level
+v = q gives the n with p**q not dividing F(p**q, n).
 X == 1 (mod p**q - 1) and sigma_p(X) == X (mod p - 1) force the digit sum
-to be l = m (p - 1) + 1 with 0 <= m < q, so the enumeration walks:
+to be l = m (p - 1) + 1 with 0 <= m < v, so the enumeration walks:
 
   * class vectors first: the counts (c_0, ..., c_{q-1}) of the digits of X
     in the exponent classes alpha == j (mod q), with digit sum l and
@@ -102,26 +103,28 @@ def _placements(k: int, c: int, p: int) -> int:
                for i in range(min(k, c // p) + 1))
 
 
-def _class_vectors(p: int, q: int, places: list[int]) -> Iterator[tuple[int, ...]]:
+def _class_vectors(p: int, q: int, places: list[int],
+                   level: int | None = None) -> Iterator[tuple[int, ...]]:
     """Every class vector (c_0, ..., c_{q-1}) with c_j <= (p - 1) places[j],
-    digit sum m (p - 1) + 1 for some m < q and sum_j c_j p**j == 1
-    (mod p**q - 1).
+    digit sum m (p - 1) + 1 for some m < level (None: q) and
+    sum_j c_j p**j == 1 (mod p**q - 1).
 
     These are c_j = [j = 0] - u_j + p u_{j+1} (u_q = u_0) over u >= 0 with
     u_0 + ... + u_{q-1} = m: from the single unit 1 = p**0, u_j units of
     class j are each broken into p units of class j - 1 (class 0 into class
-    q - 1, since p**q == 1).  Every u_j is at most max(places) and q - 1.
-    For each u_0, best[j][u] is the least u_j + ... + u_{q-1} that closes
-    the cycle from u_j = u, so the walk below only enters branches that
-    yield a vector.
+    q - 1, since p**q == 1).  Every u_j is at most max(places) and
+    level - 1.  For each u_0, best[j][u] is the least u_j + ... + u_{q-1}
+    that closes the cycle from u_j = u, so the walk below only enters
+    branches that yield a vector.
     """
+    level = q if level is None else level
     caps = [(p - 1) * k for k in places]
-    span = range(min(max(places), q - 1) + 1)
+    span = range(min(max(places), level - 1) + 1)
     for u0 in span:
-        best = [None] * q + [[0 if u == u0 else q for u in span]]  # q: no way to close
+        best = [None] * q + [[0 if u == u0 else level for u in span]]  # level: no way to close
         for j in range(q - 1, 0, -1):
             best[j] = [u + min([b for v, b in enumerate(best[j + 1])
-                                if 0 <= p * v - u <= caps[j]], default=q) for u in span]
+                                if 0 <= p * v - u <= caps[j]], default=level) for u in span]
         counts = [0] * q
         stack = [(0, 0, u0, u0)]  # (class j, c_{j-1}, u_j, u_0 + ... + u_j)
         while stack:
@@ -132,7 +135,7 @@ def _class_vectors(p: int, q: int, places: list[int]) -> Iterator[tuple[int, ...
                 continue
             for v, b in enumerate(best[j + 1]):
                 c = (j == 0) - u + p * v
-                if 0 <= c <= caps[j] and used + b < q:
+                if 0 <= c <= caps[j] and used + b < level:
                     stack.append((j + 1, c, v, used + v))
 
 
@@ -170,6 +173,12 @@ def exception_values(pp: PrimePower, bound: int) -> list[int]:
     is checked against config.EXCEPTION_OUTPUT_BYTES before any lift; above
     it the call raises SizeGuardError.
     """
+    return _values_below(pp, bound, pp.q)
+
+
+def _values_below(pp: PrimePower, bound: int, level: int) -> list[int]:
+    """All n <= bound with v_p(F(p**q, n)) < level, ascending, under
+    exception_values' output guard."""
     if bound < 1:
         return []
     p, q = pp.p, pp.q
@@ -182,15 +191,15 @@ def exception_values(pp: PrimePower, bound: int) -> list[int]:
     # bytes per value: the peak of `pqcat exceptions` measured 110-1300 B
     # from 43- to 1520-bit X, decimal strings and JSON text included
     room = config.EXCEPTION_OUTPUT_BYTES // (150 + 3 * budget.bit_length() // 4)
-    steps = q * (min(places[0], q - 1) + 1) ** 3  # the class table's, counted as values
+    steps = q * (min(places[0], level - 1) + 1) ** 3  # the class table's, counted as values
     sizes = (prod(_placements(places[j], c, p) for j, c in enumerate(counts) if c)
-             for counts in _class_vectors(p, q, places))
+             for counts in _class_vectors(p, q, places, level))
     # lazily: a table too large to build is refused before it is built
     if any(total > room for total in accumulate(sizes, initial=steps)):
         raise SizeGuardError(f"{pp} may have more than {room} exceptions up to the bound, "
                              f"above the {config.EXCEPTION_OUTPUT_BYTES}-byte output guard")
     xs = []
-    for counts in _class_vectors(p, q, places):
+    for counts in _class_vectors(p, q, places, level):
         partial = [0]
         for j, c in enumerate(counts):
             if c:

@@ -25,10 +25,14 @@ assignment wins, and every snapshot is complete.  The
 squarefree test walks the snapshot's array in place and stops at the first
 prime above isqrt(m); only primes_upto hands out a copy, as a plain list.
 
-For q >= 2 every non-exceptional n has p**q | C(p**q n + 1, n), hence the
-binomial is divisible by p**2 and cannot be squarefree: scanning only the
-enumerated exceptions loses nothing.  Each scan counts, per prime, how many
-candidates that prime ruled out.
+Since m = p**q n + 1 == 1 (mod p), adding n and m - n in base p carries
+v_p(F(p**q, n)) times, so C(m, n) can be squarefree only when that
+valuation is at most 1.  A scan tests the n with v_p(F(p**q, n)) <
+max(q, 2): for q >= 2 the paper's exceptions (p**q does not divide
+F(p**q, n)), for q = 1 the n with sigma_p((p - 1) n + 1) in {1, p}.  Every
+other n gives a binomial that p**2 divides, so the rule loses nothing for
+any q.  Each scan counts, per prime, how many candidates that prime ruled
+out.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from math import isqrt
 from . import config
 from .config import SizeGuardError
 from .digits import PrimePower, _shown
-from .exceptions import exception_values
+from .exceptions import _values_below
 
 # (covered limit, every prime <= it); array("I") holds every prime below the
 # sieve guard, and extend raises OverflowError rather than truncate one above
@@ -221,21 +225,19 @@ def scan_candidates(
 ) -> ScanReport:
     """Squarefree hits of C(p**q n + 1, n) for n <= bound.
 
-    By default only the structural exception candidates are tested (sound
-    for q >= 2); exhaustive mode sweeps every n <= bound and serves as the
-    oracle for the filter.  A checkpoint file, when given, is resumed from
-    and rewritten as the scan advances.
+    By default only the n with v_p(F(p**q, n)) < max(q, 2) are tested,
+    which is sound for every q (module docstring); exhaustive mode sweeps
+    every n <= bound and serves as the oracle for the filter.  A checkpoint
+    file, when given, is resumed from and rewritten as the scan advances.
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {_shown(bound)}")
-    if not exhaustive and pp.q < 2:
-        raise ValueError("the candidate filter needs q >= 2; use exhaustive mode")
 
     started = time.monotonic()
     if exhaustive:
         candidates = range(1, bound + 1)
     else:
-        candidates = exception_values(pp, bound)
+        candidates = _values_below(pp, bound, max(pp.q, 2))
 
     resume_from = 0
     hits: list[int] = []
@@ -275,11 +277,9 @@ def scan_candidates(
 
 
 def verify_divisibility_filter(pp: PrimePower, bound: int) -> bool:
-    """Check the filter on [1, bound]: every n outside the exception list
-    must give a non-squarefree C(p**q n + 1, n).  True when that holds."""
-    if pp.q < 2:
-        raise ValueError(f"the filter argument needs q >= 2, got {pp}")
-    if bound < 1:
-        return True
-    exceptional = set(exception_values(pp, bound))
-    return exceptional.issuperset(scan_candidates(pp, bound, exhaustive=True).squarefree_hits)
+    """Check the filter on [1, bound]: every n outside the scan's candidates,
+    those with v_p(F(p**q, n)) < max(q, 2), must give a non-squarefree
+    C(p**q n + 1, n).  True when that holds; a negative bound is refused as
+    scan_candidates refuses it."""
+    candidates = set(_values_below(pp, bound, max(pp.q, 2)))
+    return candidates.issuperset(scan_candidates(pp, bound, exhaustive=True).squarefree_hits)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from pqcat import analytic
+from pqcat import analytic, config
 from pqcat import (
     InequalityConstants,
     InequalityInstance,
@@ -206,27 +206,21 @@ class TestTau0:
             assert find_tau0(inst, form=form) == e, (p, q)
             assert not inequality_holds(inst, 2 ** (e - 1), form=form), (p, q)
 
-    def test_exponent_cap(self):
-        inst = InequalityInstance(PrimePower(2, 2))
+    def test_exponent_cap(self, monkeypatch):
+        monkeypatch.setattr(config, "DEFAULT_EXPONENT_CAP", 64)
         with pytest.raises(ThresholdSearchError):
-            find_tau0(inst, max_exponent=64)
+            find_tau0(InequalityInstance(PrimePower(2, 2)))
 
-    @pytest.mark.parametrize("cap", [0, -1, -64])
-    def test_cap_below_one_refused_before_any_evaluation(self, monkeypatch, cap):
-        calls = []
-        monkeypatch.setattr(analytic, "inequality_holds", lambda *a, **k: calls.append(a))
-        with pytest.raises(ValueError, match="max_exponent must be >= 1"):
-            find_tau0(InequalityInstance(PrimePower(2, 2)), max_exponent=cap)
-        assert calls == []
-
-    def test_cap_between_crossing_and_next_power_of_two(self):
+    def test_cap_between_crossing_and_next_power_of_two(self, monkeypatch):
         # the crossing of (2,2) is 1698: any cap at or above it is enough,
         # not only one past the next power of two
         inst = InequalityInstance(PrimePower(2, 2))
         for cap in (1698, 1700, 2047):
-            assert find_tau0(inst, max_exponent=cap) == 1698, cap
+            monkeypatch.setattr(config, "DEFAULT_EXPONENT_CAP", cap)
+            assert find_tau0(inst) == 1698, cap
+        monkeypatch.setattr(config, "DEFAULT_EXPONENT_CAP", 1697)
         with pytest.raises(ThresholdSearchError, match="below exponent 1697"):
-            find_tau0(inst, max_exponent=1697)
+            find_tau0(inst)
 
     def test_matches_doubling_search(self):
         for p, q in moduli_q_at_least_2():

@@ -113,6 +113,23 @@ class TestDispatch:
         code, recs = run_lines(capsys, ["verify", "--p", "2", "--q", "2", "--bound", "100"])
         assert recs[0]["result"] == {"sound": True}
 
+    def test_scan_and_verify_q1(self, capsys):
+        code, recs = run_lines(capsys, ["scan", "--p", "2", "--q", "1", "--bound", "2**40"])
+        assert code == EXIT_OK
+        assert recs[0]["result"]["squarefree_hits"] == [1, 2, 3, 5, 8, 9, 11, 35]
+        code, recs = run_lines(capsys, ["verify", "--p", "3", "--q", "1", "--bound", "500"])
+        assert code == EXIT_OK and recs[0]["result"] == {"sound": True}
+
+    def test_verify_bound_zero_and_negative(self, capsys):
+        # bound 0: both sets are empty; a negative bound is refused as scan refuses it
+        code, recs = run_lines(capsys, ["verify", "--p", "2", "--q", "2", "--bound", "0"])
+        assert code == EXIT_OK and recs[0]["result"] == {"sound": True}
+        for command in ("verify", "scan"):
+            assert run([command, "--p", "2", "--q", "2", "--bound=-5"]) == EXIT_DOMAIN
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == ["pqcat: error: bound must be >= 0, got -5"]
+
     def test_big_integers_are_strings(self, capsys):
         # the --bound parser accepts 2**e shorthand; huge values serialize
         # as decimal strings

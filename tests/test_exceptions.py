@@ -118,10 +118,11 @@ class TestSetEquality:
                 assert small == [n for n in big if n <= bound]
 
 
-def digit_sum_sweep(p: int, q: int, bound: int) -> list[int]:
-    # n is exceptional iff sigma_p((p**q - 1) n + 1) <= (p - 1)(q - 1) + 1;
+def digit_sum_sweep(p: int, q: int, bound: int, level: int | None = None) -> list[int]:
+    # v_p(F(p**q, n)) < level (None: q) iff
+    # sigma_p((p**q - 1) n + 1) <= (p - 1)(level - 1) + 1;
     # digit sums by plain divmod, sharing no code with pqcat
-    limit = (p - 1) * (q - 1) + 1
+    limit = (p - 1) * ((q if level is None else level) - 1) + 1
     found = []
     for n in range(1, bound + 1):
         x, total = (p**q - 1) * n + 1, 0
@@ -194,6 +195,25 @@ class TestExceptionValues:
             tracemalloc.stop()
         assert len(answer) == 80465
         assert peak < 1.6 * held, (peak, held)
+
+
+class TestScanLevel:
+    """The scan's candidates: v_p(F(p**q, n)) < max(q, 2)."""
+
+    @pytest.mark.parametrize("p,q", [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
+                                     (2, 2), (2, 3), (3, 3), (2, 4)])
+    def test_digit_sum_sweep_2e4(self, p, q):
+        level = max(q, 2)
+        got = exceptions._values_below(PrimePower(p, q), 2 * 10**4, level)
+        assert got == digit_sum_sweep(p, q, 2 * 10**4, level)
+
+    @pytest.mark.parametrize("p,q,bound,count", [
+        (2, 2, 2**46, 299), (3, 2, 2**44, 678), (3, 3, 10**11, 6499),
+    ])
+    def test_benchmark_scan_counts(self, p, q, bound, count):
+        # the candidates the benchmark's scan jobs test
+        assert len(exception_values(PrimePower(p, q), bound)) == count
+        assert len(exceptions._values_below(PrimePower(p, q), bound, max(q, 2))) == count
 
 
 def class_multisets(p: int, q: int) -> set[tuple[int, ...]]:

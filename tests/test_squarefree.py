@@ -232,6 +232,10 @@ class TestWitness:
         assert tuple(sorted(merged.items())) == full.witnesses
 
 
+# q = 1 moduli and bounds for the filter against exhaustive scans
+Q1_BOUNDS = [(2, 3000), (3, 3000), (5, 3000), (7, 3000), (11, 2000), (13, 2000)]
+
+
 class TestScan:
     def test_seeded_2_2(self):
         report = scan_candidates(PrimePower(2, 2), 100)
@@ -248,11 +252,24 @@ class TestScan:
         assert report.candidates_tested == 0
         assert report.checkpoint == 0
 
-    def test_q1_needs_exhaustive(self):
-        with pytest.raises(ValueError):
-            scan_candidates(PrimePower(3, 1), 50)
-        report = scan_candidates(PrimePower(3, 1), 50, exhaustive=True)
-        assert report.candidates_tested == 50
+    @pytest.mark.parametrize("p,bound", Q1_BOUNDS)
+    def test_q1_filter_matches_exhaustive(self, p, bound):
+        pp = PrimePower(p, 1)
+        seeded = scan_candidates(pp, bound)
+        full = scan_candidates(pp, bound, exhaustive=True)
+        assert seeded.squarefree_hits == full.squarefree_hits
+        assert seeded.candidates_tested < full.candidates_tested
+
+    def test_granville_ramare(self):
+        # C(2n, n) = 2 C(2n - 1, n - 1), so C(2n, n) is squarefree iff
+        # C(2k + 1, k) is squarefree and odd, k = n - 1; k = 0 is n = 1.
+        # Granville and Ramare (1996): only n = 1, 2, 4
+        hits = scan_candidates(PrimePower(2, 1), 2**40).squarefree_hits
+        from_scan = {1} | {k + 1 for k in hits if comb(2 * k + 1, k) % 2}
+        primes = trial_division_primes(600)
+        by_factorization = {n for n in range(1, 301)
+                            if squarefree_by_factorization(2 * n, n, primes)}
+        assert from_scan == by_factorization == {1, 2, 4}
 
     @pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (2, 3), (2, 4)])
     def test_filter_matches_exhaustive(self, p, q):
@@ -333,9 +350,9 @@ class TestFilterSoundness:
     def test_trivial(self):
         assert verify_divisibility_filter(PrimePower(2, 2), 1)
 
-    def test_rejects_q1(self):
-        with pytest.raises(ValueError):
-            verify_divisibility_filter(PrimePower(5, 1), 100)
+    @pytest.mark.parametrize("p,bound", Q1_BOUNDS)
+    def test_q1(self, p, bound):
+        assert verify_divisibility_filter(PrimePower(p, 1), bound)
 
     def test_divisible_implies_not_squarefree(self):
         # the contrapositive the filter rests on, checked directly
