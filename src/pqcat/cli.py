@@ -88,20 +88,41 @@ def _unlimited_int_str():
         sys.set_int_max_str_digits(saved)
 
 
+_CHUNK = 4096  # values per written piece of an all-int result list
+
+
+def _int_json(v: int) -> str:
+    # _jsonable's rule for one int, as JSON text
+    return str(v) if -_SAFE_INT < v < _SAFE_INT else f'"{v}"'
+
+
+def _jsonl_pieces(records: list[OutputRecord]):
+    """The JSON lines of `records` as text pieces, in order.
+
+    A result that is a list of plain ints (`exceptions`' values) is written
+    straight from the list, _CHUNK values a piece, after the envelope of the
+    other keys: "result" sorts last, so it is always the line's tail.  Every
+    other result goes through _jsonable and one json.dumps.
+    """
+    for r in records:
+        payload = {"command": r.command, "inputs": _jsonable(r.inputs)}
+        if r.provenance is not None:
+            payload["provenance"] = r.provenance
+        values = r.result
+        if isinstance(values, list) and all(type(v) is int for v in values):
+            yield json.dumps(payload, sort_keys=True)[:-1] + ', "result": ['
+            for i in range(0, len(values), _CHUNK):
+                yield (", " if i else "") + ", ".join(map(_int_json, values[i : i + _CHUNK]))
+            yield "]}\n"
+        else:
+            payload["result"] = _jsonable(values)
+            yield json.dumps(payload, sort_keys=True) + "\n"
+
+
 def emit(records: list[OutputRecord], format: str = "jsonl") -> str:
     """Serialize records deterministically; one JSON line or CSV row each."""
     if format == "jsonl":
-        lines = []
-        for r in records:
-            payload = {
-                "command": r.command,
-                "inputs": _jsonable(r.inputs),
-                "result": _jsonable(r.result),
-            }
-            if r.provenance is not None:
-                payload["provenance"] = r.provenance
-            lines.append(json.dumps(payload, sort_keys=True))
-        return "".join(line + "\n" for line in lines)
+        return "".join(_jsonl_pieces(records))
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -442,7 +463,13 @@ def run(argv: list[str] | None = None) -> int:
     try:
         with _unlimited_int_str():
             records = args.handler(args)
-            sys.stdout.write(emit(records, args.format))
+            # JSON lines go out in pieces, so no answer is held as one string
+            if args.format == "jsonl":
+                pieces = _jsonl_pieces(records)
+            else:
+                pieces = [emit(records, args.format)]
+            for piece in pieces:
+                sys.stdout.write(piece)
         return EXIT_OK
     except SizeGuardError as exc:
         print(f"pqcat: resource guard: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ DEFAULT_PRECISION = 256
 PRECISION_CAP = 4096
 DEFAULT_EXPONENT_CAP = 1 << 14    # threshold search gives up past 2**cap
 EXCEPTION_OUTPUT_BYTES = 2**30    # most bytes exception_values may build: its bound on the
-                                  # number of values times about 150 + 0.75 * bits each
+                                  # number of values times 150 + 0.75 * bits each, about
+                                  # 2-3x the measured peak a value of `pqcat exceptions`
 RESIDUE_PRIME_LIMIT = 3000        # largest p and s_max for the q = 2 residue sets:
                                   # `residues --sequence 3000` takes about 1.5 s on 2 vCPUs

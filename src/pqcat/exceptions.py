@@ -188,15 +188,18 @@ def _values_below(pp: PrimePower, bound: int, level: int) -> list[int]:
     while p**width <= budget:
         width += 1
     places = [len(range(j, width, q)) for j in range(q)]  # class positions below the budget
-    # bytes per value: the peak of `pqcat exceptions` measured 110-1300 B
-    # from 43- to 1520-bit X, decimal strings and JSON text included
+    # bytes per value: 150 + 0.75 * bits.  The CLI writes an int list in
+    # chunks, so the peak RSS of `pqcat exceptions`, less the interpreter's
+    # 16 MB, is 65-550 B a value from 43- to 1520-bit X: about 2-3x less
     room = config.EXCEPTION_OUTPUT_BYTES // (150 + 3 * budget.bit_length() // 4)
     steps = q * (min(places[0], level - 1) + 1) ** 3  # the class table's, counted as values
     sizes = (prod(_placements(places[j], c, p) for j, c in enumerate(counts) if c)
              for counts in _class_vectors(p, q, places, level))
     # lazily: a table too large to build is refused before it is built
     if any(total > room for total in accumulate(sizes, initial=steps)):
-        raise SizeGuardError(f"{pp} may have more than {room} exceptions up to the bound, "
+        # above level q the set is scan candidates, not the paper's exceptions
+        what = "exceptions" if level == q else f"scan candidates (n with v_p(F) < {level})"
+        raise SizeGuardError(f"{pp} may have more than {room} {what} up to the bound, "
                              f"above the {config.EXCEPTION_OUTPUT_BYTES}-byte output guard")
     xs = []
     for counts in _class_vectors(p, q, places, level):

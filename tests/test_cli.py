@@ -1,14 +1,20 @@
+import csv
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from dataclasses import is_dataclass
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from pqcat import cli
 from pqcat.cli import (
+    _CHUNK,
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_RESOURCE,
@@ -367,6 +373,23 @@ class TestExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("pqcat: resource guard: ")
 
+    def test_refusals_name_the_set_they_bound(self, capsys):
+        # at level 2 > q the guarded set is scan candidates, not exceptions
+        for command in ("scan", "verify"):
+            argv = [command, "--p", "99991", "--q", "1", "--bound", "10**6"]
+            assert run(argv) == EXIT_RESOURCE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "pqcat: resource guard: 99991^1 may have more than 6066337 scan candidates "
+                "(n with v_p(F) < 2) up to the bound, above the 1073741824-byte output guard"
+            ]
+        assert run(["exceptions", "--p", "313", "--q", "2", "--bound", "2**60"]) == EXIT_RESOURCE
+        assert capsys.readouterr().err.splitlines() == [
+            "pqcat: resource guard: 313^2 may have more than 5187158 exceptions "
+            "up to the bound, above the 1073741824-byte output guard"
+        ]
+
     @pytest.mark.parametrize("bits", ["0", "-3", "63"])
     def test_precision_below_64_refused(self, capsys, bits):
         argv = ["threshold", "--p", "2", "--q", "2", "--log2-n", "100", "--precision", bits]
@@ -546,6 +569,119 @@ class TestEmit:
     def test_deterministic_key_order(self):
         rec = OutputRecord("x", {"b": 1, "a": 2}, {"z": 1, "y": 2})
         assert emit([rec]) == emit([OutputRecord("x", {"a": 2, "b": 1}, {"y": 2, "z": 1})])
+
+
+def reference_jsonable(value):
+    # the serializer's rule before JSON lines were written in pieces
+    if isinstance(value, bool) or value is None or isinstance(value, (float, str)):
+        return value
+    if isinstance(value, int):
+        return value if -(2**53) < value < 2**53 else str(value)
+    if isinstance(value, dict):
+        return {str(k): reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_jsonable(v) for v in value]
+    if is_dataclass(value):
+        return reference_jsonable(vars(value))
+    return str(value)
+
+
+def reference_emit(records, format="jsonl"):
+    if format == "csv":
+        rows = [["command", "inputs", "result", "provenance"]]
+        rows += [[r.command, json.dumps(reference_jsonable(r.inputs), sort_keys=True),
+                  json.dumps(reference_jsonable(r.result), sort_keys=True), r.provenance or ""]
+                 for r in records]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        return buf.getvalue()
+    lines = []
+    for r in records:
+        payload = {"command": r.command, "inputs": reference_jsonable(r.inputs),
+                   "result": reference_jsonable(r.result)}
+        if r.provenance is not None:
+            payload["provenance"] = r.provenance
+        lines.append(json.dumps(payload, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+def without_elapsed(text):
+    return re.sub(r'"elapsed": [0-9.e+-]+', '"elapsed": 0', text)
+
+
+def assert_same_text(got, expected):
+    # a short message: pytest's own diff of two 13 MB lines does not finish
+    if got != expected:
+        at = len(os.path.commonprefix([got, expected]))
+        near = slice(max(at - 30, 0), at + 30)
+        pytest.fail(f"{len(got)} vs {len(expected)} chars, first difference at {at}: "
+                    f"{got[near]!r} vs {expected[near]!r}")
+
+
+class TestOutputOracle:
+    """stdout is byte-identical to the reference serializer above."""
+
+    @pytest.mark.parametrize("argv", [
+        "exceptions --p 3 --q 3 --bound 10**24",
+        "exceptions --p 2 --q 2 --bound 2**800",
+        "exceptions --p 3 --q 2 --bound 10**6 --forms",
+        "exceptions --p 2 --q 3 --bound 0",
+        "exceptions --p 2 --q 2 --bound 10**5 --format csv",
+        "residues --p 5",
+        "residues --p 7 --sequence 12",
+        "scan --p 2 --q 2 --bound 2**40",
+        "digits --n 2**100 --p 3",
+    ])
+    def test_cli_stdout(self, capsys, argv):
+        argv = argv.split()
+        args = cli._build_parser().parse_args(argv)
+        with _unlimited_int_str():
+            expected = reference_emit(args.handler(args), args.format)
+        assert run(argv) == EXIT_OK
+        assert_same_text(without_elapsed(capsys.readouterr().out), without_elapsed(expected))
+
+    @pytest.mark.parametrize("result", [
+        [2**53 - 1, -(2**53 - 1), 2**53, -(2**53), 0, -1],
+        [],
+        [1, True, 2],
+        [1, [2, 2**60], 3],
+        [(-1) ** k * k**7 for k in range(10_000)],
+        list(range(4096)),
+        list(range(4097)),
+        (1, 2**64),
+        {"values": [1, 2**64]},
+    ])
+    def test_emit(self, result):
+        records = [OutputRecord("demo", {"p": 2, "n": 2**70}, result, "why"),
+                   OutputRecord("demo", {}, result)]
+        assert_same_text(emit(records), reference_emit(records))
+
+    def test_safe_range_ends(self):
+        line = emit([OutputRecord("x", {}, [2**53 - 1, 2**53, -(2**53 - 1), -(2**53)])])
+        assert line.endswith(
+            '"result": [9007199254740991, "9007199254740992", '
+            '-9007199254740991, "-9007199254740992"]}\n'
+        )
+
+    def test_long_answer_written_in_chunks(self, monkeypatch):
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return len(text)
+
+        out = Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert run(["exceptions", "--p", "2", "--q", "2", "--bound", "2**800"]) == EXIT_OK
+        values = [int(v) for v in parse_record("".join(out.writes))["result"]]
+        assert len(values) == 80_600
+        text = [json.dumps(reference_jsonable(v)) for v in values]
+        chunk = max(len(", ".join(text[i : i + _CHUNK])) for i in range(0, len(text), _CHUNK))
+        assert len(out.writes) > 1
+        # a chunk after the first carries its leading ", "
+        assert max(len(w) for w in out.writes) <= chunk + 2
 
 
 _COLD_START = """
