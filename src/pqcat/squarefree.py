@@ -33,6 +33,12 @@ F(p**q, n)), for q = 1 the n with sigma_p((p - 1) n + 1) in {1, p}.  Every
 other n gives a binomial that p**2 divides, so the rule loses nothing for
 any q.  Each scan counts, per prime, how many candidates that prime ruled
 out.
+
+A scan tests its candidates in slices of 2**14 and can keep a checkpoint
+file (covered n, hits so far).  The file is rewritten at a slice boundary
+once at least a second has passed since the last write, and always when
+the scan ends, so a long scan costs about one write a second and a killed
+one loses at most the work since its last write.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ import os
 import time
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, islice
 from math import isqrt
@@ -185,6 +192,12 @@ def _write_checkpoint(path: str, pp: PrimePower, bound: int, last_n: int, hits: 
     os.replace(tmp, path)
 
 
+# candidates tested between two looks at the checkpoint clock
+_SLICE = 1 << 14
+# least seconds between two checkpoint writes while a scan runs
+_CHECKPOINT_INTERVAL = 1.0
+
+
 # Python's default cap on parsing an int from text; cli.run lifts the
 # interpreter's cap while a command runs, so checkpoint numbers keep it here
 _MAX_DIGITS = 4300
@@ -228,7 +241,9 @@ def scan_candidates(
     By default only the n with v_p(F(p**q, n)) < max(q, 2) are tested,
     which is sound for every q (module docstring); exhaustive mode sweeps
     every n <= bound and serves as the oracle for the filter.  A checkpoint
-    file, when given, is resumed from and rewritten as the scan advances.
+    file, when given, is resumed from, rewritten at a slice boundary at
+    most once every _CHECKPOINT_INTERVAL seconds, and written once more at
+    the end.
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {_shown(bound)}")
@@ -252,18 +267,22 @@ def scan_candidates(
     resume_from = min(resume_from, bound)  # reported checkpoint stays <= bound
 
     last = resume_from
-    ruled_out: dict[int, int] = {}
-    for i, n in enumerate(todo):
-        r = _witness(pp.modulus * n + 1, n)
-        if r is None:
-            hits.append(n)
-        else:
-            ruled_out[r] = ruled_out.get(r, 0) + 1
-        last = n
-        if checkpoint_path and (i + 1) % 512 == 0:
+    tally: Counter[int | None] = Counter()
+    mod = pp.modulus
+    written = time.monotonic()
+    for lo in range(0, len(todo), _SLICE):
+        part = todo[lo : lo + _SLICE]
+        found = [_witness(mod * n + 1, n) for n in part]
+        tally.update(found)
+        if None in found:
+            hits.extend(n for n, r in zip(part, found) if r is None)
+        last = part[-1]
+        if checkpoint_path and time.monotonic() - written >= _CHECKPOINT_INTERVAL:
             _write_checkpoint(checkpoint_path, pp, bound, last, hits)
+            written = time.monotonic()
     if checkpoint_path and todo:
         _write_checkpoint(checkpoint_path, pp, bound, last, hits)
+    del tally[None]
 
     return ScanReport(
         pp=pp,
@@ -272,7 +291,7 @@ def scan_candidates(
         squarefree_hits=tuple(sorted(set(hits))),
         elapsed=time.monotonic() - started,
         checkpoint=last,
-        witnesses=tuple(sorted(ruled_out.items())),
+        witnesses=tuple(sorted(tally.items())),
     )
 
 

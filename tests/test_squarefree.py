@@ -4,11 +4,14 @@ import threading
 import tracemalloc
 from array import array
 from bisect import bisect_right
-from math import comb, isqrt
+from collections import Counter
+from functools import cache
+from math import ceil, comb, isqrt
 
 import pytest
 
 from pqcat import config
+from pqcat import squarefree as sq
 from pqcat import (
     PrimePower,
     SizeGuardError,
@@ -332,6 +335,139 @@ class TestScan:
         scan_candidates(PrimePower(2, 2), 100, checkpoint_path=path)
         with pytest.raises(ValueError):
             scan_candidates(PrimePower(3, 2), 100, checkpoint_path=path)
+
+
+def digit_sum(x: int, r: int) -> int:
+    s = 0
+    while x:
+        x, d = divmod(x, r)
+        s += d
+    return s
+
+
+def least_carry_prime(m: int, n: int) -> int | None:
+    """The least prime r with r**2 | C(m, n), from digit sums: adding n and
+    m - n in base r carries (s_r(n) + s_r(m - n) - s_r(m)) / (r - 1) times,
+    and two carries need r * r <= m.  Primes by trial division; shares no
+    carry or sieve code with pqcat."""
+    r = 2
+    while r * r <= m:
+        if all(r % d for d in range(2, isqrt(r) + 1)):
+            if digit_sum(n, r) + digit_sum(m - n, r) - digit_sum(m, r) >= 2 * (r - 1):
+                return r
+        r += 1
+    return None
+
+
+@cache
+def oracle_witnesses(p: int, q: int, top: int) -> tuple[int | None, ...]:
+    """least_carry_prime of C(p**q n + 1, n) for n = 0, 1, ..., top."""
+    return tuple(least_carry_prime(p**q * n + 1, n) for n in range(top + 1))
+
+
+def oracle_scan(p: int, q: int, ns) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """(hits, witnesses) that a scan testing exactly the n in `ns` reports."""
+    found = oracle_witnesses(p, q, 3 * (1 << 14))
+    tally = Counter(found[n] for n in ns)
+    hits = tuple(n for n in ns if found[n] is None)
+    del tally[None]
+    return hits, tuple(sorted(tally.items()))
+
+
+class StopScan(Exception):
+    pass
+
+
+# bounds on and around the slice edges of an exhaustive scan from n = 1
+SLICE_BOUNDS = [(1 << 14) - 1, 1 << 14, (1 << 14) + 1, 3 * (1 << 14)]
+
+
+class TestScanSlices:
+    @pytest.mark.parametrize("bound", SLICE_BOUNDS)
+    @pytest.mark.parametrize("p,q", [(2, 2), (3, 2)])
+    def test_exhaustive_matches_oracle(self, p, q, bound, monkeypatch, tmp_path):
+        monkeypatch.setattr(sq, "_CHECKPOINT_INTERVAL", 0)  # a write at every slice edge
+        path = str(tmp_path / "scan.json")
+        report = scan_candidates(PrimePower(p, q), bound, exhaustive=True, checkpoint_path=path)
+        hits, witnesses = oracle_scan(p, q, range(1, bound + 1))
+        assert report.squarefree_hits == hits
+        assert report.witnesses == witnesses
+        assert report.candidates_tested == bound
+        assert report.checkpoint == bound
+        with open(path) as fh:
+            assert json.loads(fh.read())["last_n"] == str(bound)
+
+    # resumed from `start`, the slices end at start + k * 2**14, not at
+    # multiples of 2**14; from 44 and 9 the last hit opens the first slice
+    @pytest.mark.parametrize("p,q,start", [(2, 2, 44), (2, 2, 10000), (3, 2, 9), (3, 2, 10000)])
+    def test_resume_mid_slice_matches_oracle(self, p, q, start, monkeypatch, tmp_path):
+        monkeypatch.setattr(sq, "_CHECKPOINT_INTERVAL", 0)
+        path = str(tmp_path / "scan.json")
+        pp, top = PrimePower(p, q), 3 * (1 << 14)
+        scan_candidates(pp, start, exhaustive=True, checkpoint_path=path)
+        resumed = scan_candidates(pp, top, exhaustive=True, checkpoint_path=path)
+        _, witnesses = oracle_scan(p, q, range(start + 1, top + 1))
+        hits, _ = oracle_scan(p, q, range(1, top + 1))
+        assert resumed.squarefree_hits == hits
+        assert resumed.witnesses == witnesses
+        assert resumed.candidates_tested == top - start
+        assert resumed.checkpoint == top
+
+    def test_structural_2_1_matches_oracle(self):
+        # v_2(C(2n + 1, n)) = s_2(n + 1) - 1, so the candidates below 2**40
+        # are the n whose n + 1 has at most two set bits
+        bound = 2**40
+        cands = sorted({2**a + 2**b - 1 for a in range(41) for b in range(a + 1)})
+        cands = [n for n in cands if n <= bound]
+        found = [least_carry_prime(2 * n + 1, n) for n in cands]
+        tally = Counter(r for r in found if r is not None)
+        report = scan_candidates(PrimePower(2, 1), bound)
+        assert report.candidates_tested == len(cands) == 821
+        assert report.squarefree_hits == tuple(n for n, r in zip(cands, found) if r is None)
+        assert report.witnesses == tuple(sorted(tally.items()))
+
+    def test_stopped_scan_resumes(self, monkeypatch, tmp_path):
+        # a scan that dies after about 50,000 tests resumes from its last
+        # checkpoint, which sits on a slice edge, and loses nothing
+        pp, bound = PrimePower(3, 2), 2 * 10**5
+        full = scan_candidates(pp, bound, exhaustive=True)
+        monkeypatch.setattr(sq, "_CHECKPOINT_INTERVAL", 0)
+        witness = sq._witness
+        seen: list[tuple[int, int | None]] = []
+
+        def dying(m: int, n: int) -> int | None:
+            if len(seen) == 50_000:
+                raise StopScan
+            r = witness(m, n)
+            seen.append((n, r))
+            return r
+
+        path = str(tmp_path / "scan.json")
+        monkeypatch.setattr(sq, "_witness", dying)
+        with pytest.raises(StopScan):
+            scan_candidates(pp, bound, exhaustive=True, checkpoint_path=path)
+        with open(path) as fh:
+            last_n = int(json.loads(fh.read())["last_n"])
+        assert 0 < last_n < 50_000 and last_n % sq._SLICE == 0
+
+        monkeypatch.setattr(sq, "_witness", witness)
+        resumed = scan_candidates(pp, bound, exhaustive=True, checkpoint_path=path)
+        assert resumed.squarefree_hits == (1, 4, 10)
+        assert resumed.checkpoint == bound
+        assert last_n + resumed.candidates_tested == bound
+        tally = Counter(r for n, r in seen if n <= last_n and r is not None)
+        tally.update(dict(resumed.witnesses))
+        assert tuple(sorted(tally.items())) == full.witnesses
+
+    def test_checkpoint_writes_follow_the_clock(self, monkeypatch, tmp_path):
+        # at most one write a second, plus the last
+        calls = []
+        write = sq._write_checkpoint
+        monkeypatch.setattr(sq, "_write_checkpoint", lambda *args: calls.append(write(*args)))
+        report = scan_candidates(PrimePower(3, 2), 2 * 10**5, exhaustive=True,
+                                 checkpoint_path=str(tmp_path / "scan.json"))
+        assert report.checkpoint == 2 * 10**5
+        assert 1 <= len(calls) <= 2 + ceil(report.elapsed / sq._CHECKPOINT_INTERVAL)
 
 
 class TestFilterSoundness:
