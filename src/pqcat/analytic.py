@@ -9,9 +9,18 @@ p**q <= 99999).  Every verdict uses interval arithmetic with outward
 rounding, so every reported comparison is decisive at the working
 precision; an indeterminate comparison escalates the precision and, past
 the cap, raises PrecisionError rather than guessing; a starting precision
-outside 64..PRECISION_CAP bits is refused up front.  Each precision has
-its own interval context, handed to every evaluation as an argument, so
-no mpmath global is read or set and concurrent callers do not interfere.
+outside 64..PRECISION_CAP bits is refused up front, as is an n or a
+precision that is not an int.  Each precision has its own interval
+context, handed to every evaluation as an argument, so no mpmath global is
+read or set and concurrent callers do not interfere.
+
+The terms that do not depend on n (alpha, the exponents, 3 c_tail, the
+right side's C and D, log 10 in base-10 mode) are computed once per
+instance, form and precision, on the first evaluation that needs them,
+and kept on the instance; an evaluation forms only the square roots,
+log n (shared by the main term and the tail), n**exp_n and the main
+logarithm.  The operations and their order are those of a from-scratch
+evaluation, so every endpoint is the same to the last bit.
 
 find_tau0 locates, then certifies: a double-precision model of the
 inequality guesses the crossing exponent, interval evaluations bracket
@@ -30,9 +39,10 @@ specialized_constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
@@ -72,11 +82,14 @@ class InequalityInstance:
     pp: PrimePower
     constants: InequalityConstants = GENERAL_CONSTANTS
     precision: int | None = None  # None means config.DEFAULT_PRECISION
+    # _Terms by (form, precision), filled by _terms on first use
+    _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.pp.modulus > 99999:
             raise ValueError(f"the inequality requires p**q <= 99999, got {self.pp}")
         bits = config.DEFAULT_PRECISION if self.precision is None else self.precision
+        _require_int(bits, "precision")
         if bits < 64:
             raise ValueError(f"precision must be >= 64 bits, got {bits}")
         if bits > config.PRECISION_CAP:
@@ -84,6 +97,11 @@ class InequalityInstance:
                 f"precision must be <= {config.PRECISION_CAP} bits, got {bits}"
             )
         object.__setattr__(self, "precision", bits)
+
+    def __getstate__(self):
+        # the stored terms live in private interval contexts, which do not
+        # pickle or deep-copy; a copy computes its own
+        return {**self.__dict__, "_terms": {}}
 
 
 # one escalation from 64 to PRECISION_CAP bits passes through at most 7
@@ -109,7 +127,13 @@ def _endpoint(x, upper: bool):
     return mp.make_mpf(x._mpi_[1 if upper else 0])
 
 
+def _require_int(x, name: str) -> None:
+    if type(x) is bool or not isinstance(x, int):
+        raise ValueError(f"{name} must be an int, got {type(x).__name__}")
+
+
 def _require_positive(n: int) -> None:
+    _require_int(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {_shown(n)}")
 
@@ -121,12 +145,13 @@ def _specialized(pp: PrimePower) -> tuple[Fraction, Fraction, int]:
     return _SPECIALIZED[key]
 
 
-def _log(iv, c: InequalityConstants, x):
+def _log(iv, ln10, x):
+    """log x, natural when ln10 is None, else decimal (ln10 = log 10)."""
     y = iv.log(x)
-    return y if c.natural_log else y / iv.log(iv.mpf(10))
+    return y if ln10 is None else y / ln10
 
 
-def _shape(iv, inst: InequalityInstance, form: str):
+def _shape(iv, inst: InequalityInstance, form: str, ln10):
     """(C, k, c, D) of the right side in its one shape,
 
         rhs = C n**exp_n L**exp_log + 3 c_tail log n + D,   L = log(k n + c),
@@ -134,13 +159,13 @@ def _shape(iv, inst: InequalityInstance, form: str):
     with C and D intervals in the context iv and k, c ints.  The
     general form has C = c_main p**(q exp_n), k = log_scale (p**q - 1),
     c = log_scale and D = 2q c_tail log p; the specialized one takes C, D
-    and k from _SPECIALIZED, with c = 1.
+    and k from _SPECIALIZED, with c = 1.  ln10 is as for _log.
     """
     const = inst.constants
     p, q = inst.pp.p, inst.pp.q
     if form == "general":
         C = _frac(iv, const.c_main) * _pow_frac(iv, iv.mpf(p), const.exp_n * q)
-        D = _frac(iv, 2 * q * const.c_tail) * _log(iv, const, iv.mpf(p))
+        D = _frac(iv, 2 * q * const.c_tail) * _log(iv, ln10, iv.mpf(p))
         return C, const.log_scale * (inst.pp.modulus - 1), const.log_scale, D
     if form == "specialized":
         c_main, c_tail, scale = _specialized(inst.pp)
@@ -148,39 +173,82 @@ def _shape(iv, inst: InequalityInstance, form: str):
     raise ValueError(f"unknown form {form!r}")
 
 
+class _Terms(NamedTuple):
+    """The n-free terms of one form at one precision: intervals in the
+    context iv they were computed in, and the ints k and c0."""
+
+    iv: object
+    one_minus_a: object
+    one_plus_a: object
+    C: object
+    k: int
+    c0: int
+    D: object
+    exp_n: object
+    exp_log: object
+    tail: object  # 3 c_tail
+    ln10: object  # None for natural logarithms
+
+
+def _terms(inst: InequalityInstance, form: str, bits: int) -> _Terms:
+    """The instance's n-free terms for the form at the given precision,
+    computed in _context(bits) the first time they are asked for.  Two
+    threads that miss at once compute the same terms and either store
+    wins, so no lock is needed."""
+    terms = inst._terms.get((form, bits))
+    if terms is None:
+        iv = _context(bits)
+        c = inst.constants
+        ln10 = None if c.natural_log else iv.log(iv.mpf(10))
+        a = _frac(iv, c.alpha)
+        C, k, c0, D = _shape(iv, inst, form, ln10)
+        terms = _Terms(iv, 1 - a, 1 + a, C, k, c0, D, _frac(iv, c.exp_n),
+                       _frac(iv, c.exp_log), 3 * _frac(iv, c.c_tail), ln10)
+        inst._terms[form, bits] = terms
+    return terms
+
+
 def _escalate(bits: int, attempt, failure: str):
-    """attempt(iv) in the interval context of the given precision, doubling
-    it until the attempt is decisive (returns anything but None); past the
-    cap, PrecisionError."""
+    """attempt(bits) at the given precision, doubling it until the attempt
+    is decisive (returns anything but None); returns what it found and the
+    precision that decided it.  Past the cap, PrecisionError."""
     while bits <= config.PRECISION_CAP:
-        found = attempt(_context(bits))
+        found = attempt(bits)
         if found is not None:
-            return found
+            return found, bits
         bits *= 2
     raise PrecisionError(failure)
 
 
 def _sides_interval(inst: InequalityInstance, n: int, form: str):
-    """Both sides at n as intervals, and whether the left one wins, at the
-    first doubling of the instance's precision that decides it."""
+    """Both sides at n as intervals and whether the left one wins, at the
+    first doubling of the instance's precision that decides it, together
+    with that precision."""
     _require_positive(n)
-    c = inst.constants
     pq = inst.pp.modulus
 
-    def attempt(iv):
-        a = _frac(iv, c.alpha)
-        lhs = (1 - a) * iv.sqrt(iv.mpf(pq * n + 1)) - (1 + a) * iv.sqrt(iv.mpf((pq - 1) * n + 1))
-        C, k, c0, D = _shape(iv, inst, form)
-        n_iv = iv.mpf(n)
-        main = (C * _pow_frac(iv, n_iv, c.exp_n)
-                * _log(iv, c, iv.mpf(k * n + c0)) ** _frac(iv, c.exp_log))
-        rhs = main + (3 * _frac(iv, c.c_tail) * _log(iv, c, n_iv) + D)
+    def attempt(bits: int):
+        iv, one_minus_a, one_plus_a, C, k, c0, D, exp_n, exp_log, tail, ln10 = \
+            _terms(inst, form, bits)
+        lhs = (one_minus_a * iv.sqrt(iv.mpf(pq * n + 1))
+               - one_plus_a * iv.sqrt(iv.mpf((pq - 1) * n + 1)))
+        log_n = iv.log(iv.mpf(n))
+        main = C * iv.exp(exp_n * log_n) * _log(iv, ln10, iv.mpf(k * n + c0)) ** exp_log
+        rhs = main + (tail * (log_n if ln10 is None else log_n / ln10) + D)
         gt, lt = lhs > rhs, lhs < rhs
         return (lhs, rhs, bool(gt)) if gt or lt else None
 
     failure = (f"sides indistinguishable at {config.PRECISION_CAP} bits "
                f"for {inst.pp}, n with {n.bit_length()} bits")
     return _escalate(inst.precision, attempt, failure)
+
+
+def _decided_sides(inst: InequalityInstance, n: int, form: str):
+    """inequality_sides' pair, and the precision that decided it."""
+    (lhs, rhs, lhs_wins), bits = _sides_interval(inst, n, form)
+    if lhs_wins:
+        return (_endpoint(lhs, upper=False), _endpoint(rhs, upper=True)), bits
+    return (_endpoint(lhs, upper=True), _endpoint(rhs, upper=False)), bits
 
 
 def inequality_sides(inst: InequalityInstance, n: int, *, form: str = "general"):
@@ -190,15 +258,13 @@ def inequality_sides(inst: InequalityInstance, n: int, *, form: str = "general")
     rhs), and conversely, so comparing the returned numbers reproduces the
     rigorous interval verdict.
     """
-    lhs, rhs, lhs_wins = _sides_interval(inst, n, form)
-    if lhs_wins:
-        return _endpoint(lhs, upper=False), _endpoint(rhs, upper=True)
-    return _endpoint(lhs, upper=True), _endpoint(rhs, upper=False)
+    return _decided_sides(inst, n, form)[0]
 
 
 def inequality_holds(inst: InequalityInstance, n: int, *, form: str = "general") -> bool:
     """Whether the left side strictly exceeds the right side at n."""
-    return _sides_interval(inst, n, form)[2]
+    (_, _, lhs_wins), _ = _sides_interval(inst, n, form)
+    return lhs_wins
 
 
 _LN2, _LN10 = math.log(2), math.log(10)
@@ -295,12 +361,13 @@ def find_tau0(inst: InequalityInstance, *, form: str = "general") -> int:
     the lemma is the only such e, as the lemma makes every later exponent
     hold.  The conditions are read off the shape: exactly for the
     rationals, and for C, D and L(n0) in interval arithmetic at the
-    instance's precision.  Raises ThresholdSearchError when one fails, or
-    when the inequality fails at the cap, config.DEFAULT_EXPONENT_CAP.
+    instance's precision, C and D being the instance's stored terms.
+    Raises ThresholdSearchError when one fails, or when the inequality
+    fails at the cap, config.DEFAULT_EXPONENT_CAP.
     """
     cap = config.DEFAULT_EXPONENT_CAP
-    iv = _context(inst.precision)
-    C, k, c0, D = _shape(iv, inst, form)
+    terms = _terms(inst, form, inst.precision)
+    iv, C, k, c0, D = terms.iv, terms.C, terms.k, terms.c0, terms.D
 
     def ok(e: int) -> bool:
         return inequality_holds(inst, 1 << e, form=form)
@@ -324,7 +391,8 @@ def find_tau0(inst: InequalityInstance, *, form: str = "general") -> int:
     half = Fraction(1, 2)
     if (hi >= 3 and c.alpha >= 0 and c.c_tail >= 0 and c.exp_log >= 0 and c.exp_n < half
             and C > 0 and k > 0 and c0 > 0 and D >= 0
-            and _log(iv, c, iv.mpf(k * (1 << hi) + c0)) > _frac(iv, c.exp_log / (half - c.exp_n))):
+            and _log(iv, terms.ln10, iv.mpf(k * (1 << hi) + c0))
+            > _frac(iv, c.exp_log / (half - c.exp_n))):
         return hi
     raise ThresholdSearchError(
         f"cannot prove that the inequality holds above 2**{hi} for {inst.pp}: "

@@ -395,8 +395,8 @@ def _cmd_scan(args) -> list[OutputRecord]:
 def _cmd_threshold(args) -> list[OutputRecord]:
     from .analytic import (
         InequalityInstance,
+        _decided_sides,
         find_tau0,
-        inequality_sides,
         specialized_constants,
         tau1,
     )
@@ -413,14 +413,15 @@ def _cmd_threshold(args) -> list[OutputRecord]:
         points.append((str(n), n))
     for label, n in points:
         for form in forms:
-            lhs, rhs = inequality_sides(inst, n, form=form)
+            (lhs, rhs), decided_bits = _decided_sides(inst, n, form)
             inputs = {"p": args.p, "q": args.q, "n": label, "form": form,
                       "precision": precision}
             holds = bool(lhs > rhs)
             # the sides are rigorous bounds: when the left side wins, a lower
-            # bound of lhs and an upper bound of rhs, and conversely
+            # bound of lhs and an upper bound of rhs, and conversely;
+            # decided_bits is the precision that made the comparison decisive
             result = {"lhs": _num(lhs, up=not holds), "rhs": _num(rhs, up=holds),
-                      "holds": holds}
+                      "holds": holds, "decided_bits": decided_bits}
             records.append(OutputRecord("threshold", inputs, result))
     if args.find_tau0:
         for form in forms:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+import sys
 import threading
 from fractions import Fraction
 
@@ -57,6 +60,59 @@ def doubling_search(inst, form="general", cap=1 << 14):
     return hi
 
 
+# the constants of the general form and the per-case specialized sets,
+# written out here so that independent_sides shares nothing with pqcat
+GENERAL = {"alpha": Fraction(1, 400000), "c_main": Fraction(21683, 1000),
+           "exp_n": Fraction(23, 48), "exp_log": Fraction(11, 4), "log_scale": 256,
+           "c_tail": Fraction(11, 8)}
+SPECIALIZED = {(2, 2): (Fraction(421311, 10000), Fraction(165566, 100000), 768),
+               (3, 2): (Fraction(2604, 100), Fraction(262417, 100000), 2048)}
+
+
+def independent_sides(p, q, n, bits, form="general", natural_log=True):
+    """inequality_sides(inst, n, form=form) as mpf tuples, written out with
+    mpmath.iv alone: each precision from bits up, doubling, gets a fresh
+    interval context and rebuilds every term, until lhs and rhs separate.
+    The operations and their order are the module's, so the endpoints must
+    agree to the last bit."""
+    g = GENERAL
+    while bits <= 4096:
+        iv = type(mpmath.iv)()
+        iv.prec = bits
+
+        def frac(x):
+            return iv.mpf(x.numerator) / iv.mpf(x.denominator)
+
+        def log(x):
+            y = iv.log(x)
+            return y if natural_log else y / iv.log(iv.mpf(10))
+
+        pq = p**q
+        a = frac(g["alpha"])
+        lhs = (1 - a) * iv.sqrt(iv.mpf(pq * n + 1)) - (1 + a) * iv.sqrt(iv.mpf((pq - 1) * n + 1))
+        if form == "general":
+            C = frac(g["c_main"]) * iv.exp(frac(g["exp_n"] * q) * iv.log(iv.mpf(p)))
+            D = frac(2 * q * g["c_tail"]) * log(iv.mpf(p))
+            k, c0 = g["log_scale"] * (pq - 1), g["log_scale"]
+        else:
+            c_main, c_tail, k = SPECIALIZED[p, q]
+            C, D, c0 = frac(c_main), frac(c_tail), 1
+        n_iv = iv.mpf(n)
+        main = (C * iv.exp(frac(g["exp_n"]) * iv.log(n_iv))
+                * log(iv.mpf(k * n + c0)) ** frac(g["exp_log"]))
+        rhs = main + (3 * frac(g["c_tail"]) * log(n_iv) + D)
+        if lhs > rhs:
+            return lhs._mpi_[0], rhs._mpi_[1]
+        if lhs < rhs:
+            return lhs._mpi_[1], rhs._mpi_[0]
+        bits *= 2
+    raise AssertionError("not decided at 4096 bits")
+
+
+def as_tuples(sides):
+    return tuple(x._mpf_ for x in sides)
+
+
 def moduli_q_at_least_2():
     primes = [p for p in range(2, 317) if all(p % d for d in range(2, p))]
     return [(p, q) for p in primes for q in range(2, 17) if p**q <= 99999]
@@ -73,6 +129,25 @@ class TestInstance:
     def test_precision_floor(self):
         with pytest.raises(ValueError):
             InequalityInstance(PrimePower(2, 2), precision=32)
+
+    @pytest.mark.parametrize("bits,name", [(100.5, "float"), ("128", "str"), (True, "bool")])
+    def test_precision_not_an_int_refused(self, bits, name):
+        with pytest.raises(ValueError, match=f"^precision must be an int, got {name}$"):
+            InequalityInstance(PrimePower(2, 2), precision=bits)
+
+    def test_stored_terms_leave_equality_hash_and_repr(self):
+        used = InequalityInstance(PrimePower(2, 2))
+        inequality_sides(used, 2**100)
+        fresh = InequalityInstance(PrimePower(2, 2))
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) and "_terms" not in repr(used)
+
+    def test_pickles_and_copies_after_use(self):
+        inst = InequalityInstance(PrimePower(2, 2), precision=128)
+        sides = inequality_sides(inst, 2**1518)
+        for twin in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+            assert twin == inst and twin._terms == {}
+            assert inequality_sides(twin, 2**1518) == sides
 
     def test_precision_cap(self):
         assert InequalityInstance(PrimePower(2, 2), precision=4096).precision == 4096
@@ -130,10 +205,103 @@ class TestSides:
         with pytest.raises(ValueError):
             inequality_sides(inst, 0)
 
+    @pytest.mark.parametrize("n,name", [(2.5, "float"), (True, "bool"), (2.0**100, "float")])
+    @pytest.mark.parametrize("fn", [inequality_sides, inequality_holds])
+    def test_rejects_n_not_an_int(self, fn, n, name):
+        inst = InequalityInstance(PrimePower(2, 2))
+        with pytest.raises(ValueError, match=f"^n must be an int, got {name}$"):
+            fn(inst, n)
+
     def test_specialized_needs_known_case(self):
         inst = InequalityInstance(PrimePower(5, 2))
         with pytest.raises(ValueError):
             inequality_sides(inst, 100, form="specialized")
+
+
+class TestStoredTerms:
+    """The n-free terms are computed once per instance, form and precision;
+    an instance that reuses them must return, bit for bit, the endpoints of
+    a fresh instance and of an evaluation that rebuilds everything."""
+
+    EXPONENTS = (64, 1518, 1700, 4096)
+
+    @pytest.mark.parametrize("bits", [64, 128, 256, 512])
+    @pytest.mark.parametrize("natural_log", [True, False])
+    def test_reused_fresh_and_independent_agree(self, bits, natural_log):
+        constants = InequalityConstants(natural_log=natural_log)
+        for p, q in ((2, 2), (3, 2)):
+            reused = InequalityInstance(PrimePower(p, q), constants=constants, precision=bits)
+            for _ in range(2):
+                for form in ("general", "specialized"):
+                    for e in self.EXPONENTS:
+                        n = 1 << e
+                        fresh = InequalityInstance(PrimePower(p, q), constants=constants,
+                                                   precision=bits)
+                        got = inequality_sides(reused, n, form=form)
+                        assert got == inequality_sides(fresh, n, form=form), (p, q, form, e)
+                        assert as_tuples(got) == independent_sides(
+                            p, q, n, bits, form, natural_log), (p, q, form, e)
+            assert {key[0] for key in reused._terms} == {"general", "specialized"}
+
+    def test_equal_after_context_cache_clear(self):
+        inst = InequalityInstance(PrimePower(2, 2), precision=128)
+        for e in self.EXPONENTS:
+            before = inequality_sides(inst, 1 << e)
+            analytic._context.cache_clear()
+            after = inequality_sides(inst, 1 << e)
+            fresh = inequality_sides(InequalityInstance(PrimePower(2, 2), precision=128), 1 << e)
+            assert before == after == fresh, e
+            assert as_tuples(after) == independent_sides(2, 2, 1 << e, 128), e
+            analytic._context.cache_clear()
+
+    def test_threads_sharing_one_instance(self):
+        # two threads that fill the same key compute the same terms, and
+        # either store wins; every endpoint must match a serial evaluation
+        points = [(form, 1 << e) for form in ("general", "specialized") for e in self.EXPONENTS]
+        serial = InequalityInstance(PrimePower(2, 2), precision=64)
+        expected = [inequality_sides(serial, n, form=form) for form, n in points]
+        shared = InequalityInstance(PrimePower(2, 2), precision=64)
+        got, errors = {}, []
+
+        def work(i):
+            try:
+                got[i] = [inequality_sides(shared, n, form=form) for form, n in points]
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert all(got[i] == expected for i in range(6))
+
+    def test_escalation_matches_a_fresh_higher_precision(self):
+        # bisect on n between 2**1697 (fails) and 2**1698 (holds), with
+        # 64-bit verdicts, until 64 bits no longer decide
+        pp = PrimePower(2, 2)
+        inst = InequalityInstance(pp, precision=64)
+        lo, hi = 1 << 1697, 1 << 1698
+        while hi - lo > 1:
+            n = (lo + hi) // 2
+            (lhs, rhs), bits = analytic._decided_sides(inst, n, "general")
+            if bits > 64:
+                break
+            lo, hi = (lo, n) if lhs > rhs else (n, hi)
+        else:
+            pytest.fail("64 bits decided every point of the bisection")
+        assert ("general", bits) in inst._terms
+        fresh = InequalityInstance(pp, precision=bits)
+        assert inequality_sides(inst, n) == inequality_sides(fresh, n)
+        assert analytic._decided_sides(fresh, n, "general")[1] == bits
+        assert inequality_holds(inst, n) == inequality_holds(fresh, n)
+        assert as_tuples(inequality_sides(inst, n)) == independent_sides(2, 2, n, 64)
 
 
 class TestMpmathGlobals:

@@ -25,7 +25,7 @@ from pqcat.cli import (
     parse_record,
     run,
 )
-from pqcat import InequalityInstance, PrimePower, inequality_sides
+from pqcat import InequalityInstance, PrimePower, analytic, inequality_sides
 
 
 def run_lines(capsys, argv):
@@ -114,6 +114,27 @@ class TestDispatch:
         )
         holds = {r["inputs"]["n"]: r["result"]["holds"] for r in recs}
         assert holds == {"2**1518": False, "2**1700": True}
+        # both are decided at the starting precision
+        assert {(r["inputs"]["precision"], r["result"]["decided_bits"]) for r in recs} == {(256, 256)}
+
+    def test_threshold_records_the_deciding_precision(self, capsys):
+        # bisect between 2**1697 and 2**1698 for an n that 64 bits cannot
+        # decide; its record keeps the starting precision in inputs and
+        # names the precision that decided it
+        inst = InequalityInstance(PrimePower(2, 2), precision=64)
+        lo, hi = 1 << 1697, 1 << 1698
+        while True:
+            n = (lo + hi) // 2
+            (lhs, rhs), bits = analytic._decided_sides(inst, n, "general")
+            if bits > 64:
+                break
+            lo, hi = (lo, n) if lhs > rhs else (n, hi)
+        argv = ["threshold", "--p", "2", "--q", "2", "--n", str(n), "--precision", "64"]
+        code, recs = run_lines(capsys, argv)
+        assert code == EXIT_OK
+        assert recs[0]["inputs"]["precision"] == 64
+        assert recs[0]["result"]["decided_bits"] == bits == 128
+        assert recs[0]["result"]["holds"] == bool(lhs > rhs)
 
     def test_verify(self, capsys):
         code, recs = run_lines(capsys, ["verify", "--p", "2", "--q", "2", "--bound", "100"])
